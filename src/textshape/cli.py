@@ -27,16 +27,15 @@ EXIT_THRESHOLD = 2
 
 @dataclass
 class RunConfig:
+    """Every CLI setting; the flags and run_config.json take their defaults from here."""
+
     stride: int = 1
-    alpha: float = 0.06
-    prob_threshold: float = 0.5
+    alpha: float = DecodeConfig.alpha
+    prob_threshold: float = DecodeConfig.prob_threshold
     iou_threshold: float = 0.5
     mode: str = "polygon"
-    min_points: int = 8
-    min_cells: int | None = None
-    lam: float = 1.0
-    dice_epsilon: float = 1.0
-    smooth_l1_delta: float = 1.0
+    min_points: int = DecodeConfig.min_points
+    min_cells: int | None = DecodeConfig.min_cells
     seed: int = 0
     noise_sigma: float = 0.0
 
@@ -64,17 +63,15 @@ class RunConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--alpha", type=float, default=0.06)
-    parser.add_argument("--prob-threshold", dest="prob_threshold", type=float, default=0.5)
-    parser.add_argument("--iou-threshold", dest="iou_threshold", type=float, default=0.5)
-    parser.add_argument("--mode", choices=("polygon", "quad"), default="polygon")
-    parser.add_argument("--min-points", dest="min_points", type=int, default=8)
-    parser.add_argument("--min-cells", dest="min_cells", type=int, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    parser.add_argument("--dice-epsilon", dest="dice_epsilon", type=float, default=1.0)
-    parser.add_argument("--smooth-l1-delta", dest="smooth_l1_delta", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    d = RunConfig
+    parser.add_argument("--stride", type=int, default=d.stride)
+    parser.add_argument("--alpha", type=float, default=d.alpha)
+    parser.add_argument("--prob-threshold", type=float, default=d.prob_threshold)
+    parser.add_argument("--iou-threshold", type=float, default=d.iou_threshold)
+    parser.add_argument("--mode", choices=("polygon", "quad"), default=d.mode)
+    parser.add_argument("--min-points", type=int, default=d.min_points)
+    parser.add_argument("--min-cells", type=int, default=d.min_cells)
+    parser.add_argument("--seed", type=int, default=d.seed)
 
 
 def _annotation_files(directory: Path) -> list[Path]:
@@ -131,10 +128,12 @@ def cmd_decode(args) -> int:
             if isinstance(raster, PredictionRaster)
             else PredictionRaster.from_label(raster)
         )
-        if cfg.noise_sigma > 0:
-            pred = add_distance_noise(pred, cfg.noise_sigma, cfg.seed)
+        pred = add_distance_noise(pred, cfg.noise_sigma, cfg.seed)
         diag = DecodeDiagnostics()
         dets = decode(pred, cfg.decode_config(), diag)
+        if diag.nonfinite:
+            print(f"warning: {path}: dropped {diag.nonfinite} cells with non-finite distances",
+                  file=sys.stderr)
         formats.write_detections(out_dir / f"{path.stem}.txt", dets)
         total += len(dets)
     for failure in failures:
@@ -157,18 +156,12 @@ def cmd_roundtrip(args) -> int:
         for path in _annotation_files(gt_dir):
             record = formats.read_annotation_file(path, args.format)
             grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
-            raster = encode(record.annotations, grid)
-            pred = PredictionRaster.from_label(raster)
-            if cfg.noise_sigma > 0:
-                pred = add_distance_noise(pred, cfg.noise_sigma, cfg.seed)
-            dets = decode(pred, cfg.decode_config())
-            live = [a for a in record.annotations if not a.ignore]
-            gt_total += len(live)
-            det_total += len(dets)
-            paired = evaluate.match(dets, live, iou_threshold=1e-6)
-            by_gt = {gt: iou for _, gt, iou in paired.matches}
-            for gi in range(len(live)):
-                rows.append((record.image_id, gi, by_gt.get(gi, 0.0)))
+            ious, n_dets = evaluate.roundtrip(
+                record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
+            )
+            gt_total += len(ious)
+            det_total += n_dets
+            rows.extend((record.image_id, gi, iou) for gi, iou in enumerate(ious))
     except (formats.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -241,11 +234,6 @@ def cmd_render(args) -> int:
     except (formats.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.quad:
-        from .geom import min_area_rect
-
-        for det in dets:
-            det.quad = min_area_rect(det.polygon)
     svg = render.render_svg(gts, dets, with_quads=args.quad)
     Path(args.out).write_text(svg)
     print(f"wrote {args.out}")
@@ -279,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="MSRR prediction rasters -> detection files")
     p.add_argument("pred_dir")
     p.add_argument("out_dir")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=float, default=RunConfig.noise_sigma)
     _add_common(p)
     p.set_defaults(func=cmd_decode)
 
@@ -287,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt_dir")
     p.add_argument("format", choices=formats.ANNOTATION_FORMATS)
     p.add_argument("report")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=float, default=RunConfig.noise_sigma)
     p.add_argument("--min-mean-iou", dest="min_mean_iou", type=float, default=0.85)
     p.add_argument("--min-instance-iou", dest="min_instance_iou", type=float, default=0.75)
     _add_common(p)

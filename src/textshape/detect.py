@@ -31,7 +31,6 @@ class DecodeConfig:
     alpha: float = DEFAULT_ALPHA
     min_points: int = 8
     min_cells: int | None = None   # None: auto from stride, 64 cells at stride 1
-    with_quads: bool = False
 
     def resolved_min_cells(self, stride: int) -> int:
         if self.min_cells is not None:
@@ -43,6 +42,7 @@ class DecodeConfig:
 class DecodeDiagnostics:
     components: int = 0
     rejected: int = 0
+    nonfinite: int = 0   # positive cells dropped for a NaN/inf distance
 
 
 @dataclass
@@ -79,7 +79,6 @@ class BoundaryPointSet:
 
     points: np.ndarray
     norm: geom.NormTransform
-    instance_id: int
     score: float
     sources: np.ndarray | None = None
 
@@ -88,7 +87,6 @@ class BoundaryPointSet:
 class Detection:
     polygon: geom.Polygon
     score: float
-    quad: geom.Polygon | None = None
 
 
 def binarize(prob: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -138,9 +136,7 @@ def boundary_points(
         _, norm = geom.normalize_points(pts)
     except geom.DegenerateInputError as exc:
         raise InstanceRejected(str(exc)) from exc
-    return BoundaryPointSet(
-        points=pts, norm=norm, instance_id=-1, score=score, sources=centers
-    )
+    return BoundaryPointSet(points=pts, norm=norm, score=score, sources=centers)
 
 
 def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detection:
@@ -183,27 +179,25 @@ def decode(
 ) -> list[Detection]:
     """Full raster-to-detections pipeline, deterministic for fixed input.
 
-    Rejected instances are dropped; pass a DecodeDiagnostics to get counts.
-    Detections come back sorted by score descending (stable).
+    Positive cells with a non-finite distance are dropped before grouping,
+    and rejected instances are dropped; pass a DecodeDiagnostics to get
+    counts. Detections come back sorted by score descending (stable).
     """
     cfg = cfg or DecodeConfig()
     mask = binarize(pred.prob, cfg.prob_threshold)
+    nonfinite = mask.astype(bool) & ~(np.isfinite(pred.dist_x) & np.isfinite(pred.dist_y))
+    mask[nonfinite] = 0
     comps = extract_instances(mask, cfg.resolved_min_cells(pred.grid.stride))
     if diagnostics is not None:
+        diagnostics.nonfinite = int(nonfinite.sum())
         diagnostics.components = len(comps)
 
     dets = []
-    for i, comp in enumerate(comps):
+    for comp in comps:
         try:
-            pts = boundary_points(comp, pred, cfg.min_points)
-            pts.instance_id = i
-            det = reconstruct(pts, cfg.alpha)
+            dets.append(reconstruct(boundary_points(comp, pred, cfg.min_points), cfg.alpha))
         except InstanceRejected:
             if diagnostics is not None:
                 diagnostics.rejected += 1
-            continue
-        if cfg.with_quads:
-            det.quad = geom.min_area_rect(det.polygon)
-        dets.append(det)
     dets.sort(key=lambda d: -d.score)
     return dets

@@ -1,5 +1,6 @@
 """Detection scoring: greedy IoU matching, precision/recall/F-score,
-ignore-region handling, and quad-mode evaluation for straight-line sets.
+ignore-region handling, quad-mode evaluation for straight-line sets, and
+the encode -> decode -> IoU roundtrip of the codec.
 
 The matcher follows the common ICDAR-style convention: detections claim
 ground truths greedily in score order at a configurable IoU threshold;
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detect import Detection
-from .labels import AnnotationPolygon
+from .detect import DecodeConfig, Detection, PredictionRaster, add_distance_noise, decode
+from .labels import AnnotationPolygon, RasterGrid, encode
 from .geom import Polygon, min_area_rect, polygon_iou
 
 
@@ -53,7 +54,6 @@ def match(
     gts: list[AnnotationPolygon],
     iou_threshold: float = 0.5,
     mode: str = "polygon",
-    resolution: int = 256,
 ) -> EvalReport:
     """Greedy best-IoU matching of detections to ground truths.
 
@@ -81,7 +81,7 @@ def match(
         for gi in real:
             if gi in taken:
                 continue
-            iou = polygon_iou(det_polys[di], gt_polys[gi], resolution)
+            iou = polygon_iou(det_polys[di], gt_polys[gi])
             if iou > best_iou:
                 best_iou = iou
                 best_gt = gi
@@ -94,7 +94,7 @@ def match(
     ignored_dets = 0
     for di in unmatched_dets:
         for gi in ignored:
-            if polygon_iou(det_polys[di], gt_polys[gi], resolution) >= iou_threshold:
+            if polygon_iou(det_polys[di], gt_polys[gi]) >= iou_threshold:
                 ignored_dets += 1
                 break
 
@@ -114,6 +114,28 @@ def match(
     )
 
 
+def roundtrip(
+    annotations: list[AnnotationPolygon],
+    grid: RasterGrid,
+    cfg: DecodeConfig | None = None,
+    noise_sigma: float = 0.0,
+    seed: int = 0,
+) -> tuple[list[float], int]:
+    """Encode annotations, decode the perfect prediction, and score it.
+
+    ``noise_sigma`` > 0 adds seeded Gaussian noise to the distance maps
+    before decoding. Returns the IoU of each non-ignore annotation with the
+    detection matched to it at any positive overlap (0.0 when none is), in
+    annotation order, and the number of detections.
+    """
+    label = encode(annotations, grid)
+    pred = add_distance_noise(PredictionRaster.from_label(label), noise_sigma, seed)
+    dets = decode(pred, cfg)
+    live = [a for a in annotations if not a.ignore]
+    by_gt = {gi: iou for _, gi, iou in match(dets, live, iou_threshold=1e-6).matches}
+    return [by_gt.get(gi, 0.0) for gi in range(len(live))], len(dets)
+
+
 @dataclass
 class DatasetReport:
     overall: EvalReport
@@ -127,7 +149,6 @@ def evaluate_dataset(
     gts_by_image: dict[str, list[AnnotationPolygon]],
     iou_threshold: float = 0.5,
     mode: str = "polygon",
-    resolution: int = 256,
     allow_missing: bool = False,
 ) -> DatasetReport:
     """Micro-averaged corpus evaluation over images paired by id.
@@ -151,7 +172,6 @@ def evaluate_dataset(
             gts_by_image[image_id],
             iou_threshold=iou_threshold,
             mode=mode,
-            resolution=resolution,
         )
         per_image[image_id] = rep
         tp += rep.tp

@@ -121,6 +121,8 @@ def parse_msra_td500(line: str) -> AnnotationPolygon:
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     corners = (corners - [cx, cy]) @ rot.T + [cx, cy]
+    if not np.isfinite(corners).all():
+        raise ParseError("box corners overflow to non-finite coordinates")
     try:
         ann = AnnotationPolygon.make(corners[:2], corners[2:][::-1])
     except MalformedAnnotationError as exc:

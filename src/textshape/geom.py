@@ -20,6 +20,11 @@ from scipy.spatial import QhullError
 
 EPS = 1e-9
 
+# Escalation ladder of alpha_shape_with_fallback.
+LADDER_DOUBLINGS = 4
+MIN_COVERAGE = 0.98
+MIN_CONTAINMENT = 0.9
+
 
 class DegenerateInputError(ValueError):
     """Fewer distinct points than required, or no usable area."""
@@ -64,16 +69,13 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], order[first]
 
 
-def _drop_repeats(pts: np.ndarray) -> np.ndarray:
-    """Drop consecutive duplicates and an explicit closing vertex."""
+def drop_repeats(pts: np.ndarray) -> np.ndarray:
+    """Drop vertices equal (within EPS) to their predecessor."""
     if len(pts) == 0:
         return pts
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(np.abs(pts[1:] - pts[:-1]) > EPS, axis=1)
-    pts = pts[keep]
-    if len(pts) > 1 and np.all(np.abs(pts[0] - pts[-1]) <= EPS):
-        pts = pts[:-1]
-    return pts
+    return pts[keep]
 
 
 @dataclass
@@ -84,7 +86,9 @@ class Polygon:
 
     @classmethod
     def make(cls, points) -> "Polygon":
-        pts = _drop_repeats(as_points(points))
+        pts = drop_repeats(as_points(points))
+        if len(pts) > 1 and np.all(np.abs(pts[0] - pts[-1]) <= EPS):
+            pts = pts[:-1]   # explicit closing vertex
         if len(pts) < 3:
             raise DegenerateInputError("polygon needs at least 3 distinct vertices")
         area = shoelace_area(pts)
@@ -179,8 +183,10 @@ def _collinear(pts: np.ndarray) -> bool:
     return sv[1] <= 1e-9 * max(sv[0], 1e-30)
 
 
-def _delaunay_raw(points, joggle: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicated points, CCW-oriented simplices and their circumradii.
+def _delaunay_raw(
+    points, joggle: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicated points, CCW-oriented simplices, their circumradii and areas.
 
     ``joggle`` asks Qhull to perturb the input by an epsilon (QJ), which is
     deterministic and much faster on grid-aligned point sets; the resulting
@@ -206,12 +212,13 @@ def _delaunay_raw(points, joggle: bool = False) -> tuple[np.ndarray, np.ndarray,
     )
     flip = signed < 0
     simplices[flip] = simplices[flip][:, ::-1]
-    keep = np.abs(signed) > 1e-14
+    areas = np.abs(signed)
+    keep = areas > 1e-14
     simplices = simplices[keep]
     if len(simplices) == 0:
         raise DegenerateInputError("all candidate triangles are collinear")
     _, radii = _circumcircles(pts[simplices])
-    return pts, simplices, radii
+    return pts, simplices, radii, areas[keep]
 
 
 def delaunay(points) -> list[Triangle]:
@@ -222,7 +229,7 @@ def delaunay(points) -> list[Triangle]:
     triangle carries its circumradius; degenerate triangles are never
     emitted.
     """
-    pts, simplices, radii = _delaunay_raw(points)
+    pts, simplices, radii, _ = _delaunay_raw(points)
     tris = pts[simplices]
     return [
         Triangle(tuple(t[0]), tuple(t[1]), tuple(t[2]), float(r))
@@ -322,7 +329,7 @@ def _split_pinches(loop: list[int]) -> list[list[int]]:
 
 
 def _shape_from_filter(
-    pts: np.ndarray, simplices: np.ndarray, radii: np.ndarray, alpha: float
+    pts: np.ndarray, simplices: np.ndarray, radii: np.ndarray, areas: np.ndarray, alpha: float
 ) -> tuple[Polygon, float]:
     """Alpha-filtered shape plus the fraction of points it covers.
 
@@ -330,15 +337,11 @@ def _shape_from_filter(
     component's triangles; a well-formed shape covers nearly all of them
     while a stray fragment covers only a few.
     """
-    kept = simplices[radii <= alpha]
+    keep = radii <= alpha
+    kept = simplices[keep]
     if len(kept) == 0:
         raise EmptyAlphaShapeError(f"no triangle has circumradius <= {alpha}")
-    tris = pts[kept]
-    areas = 0.5 * np.abs(
-        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-        - (tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
-    )
-    kept = kept[_largest_component(kept, areas)]
+    kept = kept[_largest_component(kept, areas[keep])]
     coverage = len(np.unique(kept)) / len(pts)
 
     best: list[int] | None = None
@@ -372,47 +375,39 @@ def alpha_shape(points, alpha: float) -> Polygon:
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
-    pts, simplices, radii = _delaunay_raw(points)
-    poly, _ = _shape_from_filter(pts, simplices, radii, alpha)
+    poly, _ = _shape_from_filter(*_delaunay_raw(points), alpha)
     return poly
 
 
-def alpha_shape_with_fallback(
-    points,
-    alpha: float,
-    doublings: int = 4,
-    min_coverage: float = 0.98,
-    must_contain=None,
-    min_containment: float = 0.9,
-) -> Polygon:
+def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygon:
     """Alpha shape with the escalation ladder used by the decoder.
 
     The detection contract wants a polygon enclosing the boundary points,
     so an attempt is accepted only when its component covers at least
-    ``min_coverage`` of them and, when ``must_contain`` points are given
-    (the central-region cell centers the points were regressed from),
-    contains at least ``min_containment`` of those. Empty, fragmented or
-    non-enclosing results (corner slivers at a small alpha, or the open
-    band a noisy ring collapses to) retry with alpha doubled up to
-    ``doublings`` times. The convex hull is the final fallback, so every
-    non-degenerate point set yields a polygon.
+    MIN_COVERAGE of them and, when ``must_contain`` points are given (the
+    central-region cell centers the points were regressed from), contains
+    at least MIN_CONTAINMENT of those. Empty, fragmented or non-enclosing
+    results (corner slivers at a small alpha, or the open band a noisy ring
+    collapses to) retry with alpha doubled up to LADDER_DOUBLINGS times.
+    The convex hull is the final fallback, so every non-degenerate point
+    set yields a polygon.
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
-    pts, simplices, radii = _delaunay_raw(points, joggle=True)
+    pts, simplices, radii, areas = _delaunay_raw(points, joggle=True)
     inner = None
     if must_contain is not None and len(must_contain):
         inner = as_points(must_contain)
         if len(inner) > 512:
             inner = inner[:: len(inner) // 512 + 1]
     a = alpha
-    for _ in range(doublings + 1):
+    for _ in range(LADDER_DOUBLINGS + 1):
         try:
-            poly, coverage = _shape_from_filter(pts, simplices, radii, a)
+            poly, coverage = _shape_from_filter(pts, simplices, radii, areas, a)
         except AlphaShapeError:
             poly, coverage = None, 0.0
-        if poly is not None and coverage >= min_coverage:
-            if inner is None or point_in_polygon(inner, poly.vertices).mean() >= min_containment:
+        if poly is not None and coverage >= MIN_COVERAGE:
+            if inner is None or point_in_polygon(inner, poly.vertices).mean() >= MIN_CONTAINMENT:
                 return poly
         a *= 2.0
     return Polygon.make(convex_hull(pts))

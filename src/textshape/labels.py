@@ -19,6 +19,7 @@ from .geom import (
     Triangle,
     as_points,
     circumcircle,
+    drop_repeats,
     is_simple,
     nearest_boundary_points,
     point_in_polygon,
@@ -47,8 +48,8 @@ class AnnotationPolygon:
 
     @classmethod
     def make(cls, upper, lower, ignore: bool = False) -> "AnnotationPolygon":
-        up = _clean_chain(as_points(upper))
-        low = _clean_chain(as_points(lower))
+        up = drop_repeats(as_points(upper))
+        low = drop_repeats(as_points(lower))
         if len(up) < 2 or len(low) < 2:
             raise MalformedAnnotationError("each chain needs at least 2 distinct vertices")
         ann = cls(up, low, ignore=ignore, source_vertex_count=len(up) + len(low))
@@ -64,14 +65,6 @@ class AnnotationPolygon:
 
     def polygon(self) -> Polygon:
         return Polygon.make(self.closed_vertices())
-
-
-def _clean_chain(pts: np.ndarray) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.abs(pts[1:] - pts[:-1]) > 1e-9, axis=1)
-    return pts[keep]
 
 
 def split_sides(vertices) -> AnnotationPolygon:

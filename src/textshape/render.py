@@ -7,6 +7,7 @@ ground truth in blue, detections in green, quads in red.
 from __future__ import annotations
 
 from .detect import Detection
+from .geom import min_area_rect
 from .labels import AnnotationPolygon
 
 _LAYERS = (
@@ -27,7 +28,11 @@ def render_svg(
     size: tuple[int, int] | None = None,
     with_quads: bool = False,
 ) -> str:
-    """Compose the SVG document as a string."""
+    """Compose the SVG document as a string.
+
+    ``with_quads`` adds a layer with the minimum-area rectangle of every
+    detection polygon.
+    """
     groups: dict[str, list[str]] = {"gt": [], "det": [], "quad": []}
     max_x = max_y = 1.0
     for ann in ground_truth:
@@ -39,8 +44,8 @@ def render_svg(
         groups["det"].append(_path(det.polygon.vertices))
         max_x = max(max_x, float(det.polygon.vertices[:, 0].max()))
         max_y = max(max_y, float(det.polygon.vertices[:, 1].max()))
-        if with_quads and det.quad is not None:
-            groups["quad"].append(_path(det.quad.vertices))
+        if with_quads:
+            groups["quad"].append(_path(min_area_rect(det.polygon).vertices))
 
     if size is None:
         size = (int(max_x + 2), int(max_y + 2))

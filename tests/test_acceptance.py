@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import textshape as ts
-from textshape import detect, formats, geom, losses, netplan
+from textshape import detect, evaluate, formats, geom, losses, netplan
 from textshape.labels import RasterGrid
 from textshape.synth import roundtrip_suite
 from conftest import strip_collinear, vertex_sets_match
@@ -35,17 +35,13 @@ def suite_rasters():
 def roundtrip_ious(sigma=0.0, seed_base=1000):
     ious = []
     counts = []
-    for i, (inst, raster) in enumerate(suite_rasters()):
-        pred = detect.PredictionRaster.from_label(raster)
-        if sigma > 0:
-            pred = detect.add_distance_noise(pred, sigma, seed=seed_base + i)
-        dets = detect.decode(pred, detect.DecodeConfig())
-        counts.append(len(dets))
-        best = max(
-            (ts.polygon_iou(d.polygon, inst.annotation.polygon(), 256) for d in dets),
-            default=0.0,
+    for i, inst in enumerate(roundtrip_suite()):
+        grid = RasterGrid.for_image(*inst.image_size, stride=1)
+        (iou,), n_dets = evaluate.roundtrip(
+            [inst.annotation], grid, detect.DecodeConfig(), sigma, seed_base + i
         )
-        ious.append(best)
+        ious.append(iou)
+        counts.append(n_dets)
     return np.array(ious), counts
 
 
@@ -57,7 +53,6 @@ def report(name, ok, detail=""):
 
 def test_roundtrip_fidelity():
     start = time.perf_counter()
-    _CACHE.pop("rasters", None)   # time a fresh encode+decode pass
     ious, counts = roundtrip_ious(sigma=0.0)
     elapsed = time.perf_counter() - start
     _CACHE["clean_mean"] = float(ious.mean())

@@ -92,6 +92,25 @@ class TestDecodeCommand:
         assert cli.main(["decode", str(pred_dir), str(out)]) == 0
         assert (out / "zero.txt").read_text() == ""
 
+    def test_nonfinite_distance_cell_exits_zero(self, tmp_path, capsys):
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        from textshape.detect import PredictionRaster
+
+        grid = RasterGrid(width=140, height=60, stride=1)
+        label = ts.encode([rect_annotation(10, 10, 120, 40)], grid)
+        dist_x = label.dist_x.copy()
+        rows, cols = np.nonzero(label.mask)
+        dist_x[rows[len(rows) // 2], cols[len(cols) // 2]] = np.nan
+        pred = PredictionRaster(
+            grid=grid, prob=label.mask.astype(np.float32), dist_x=dist_x, dist_y=label.dist_y
+        )
+        formats.write_raster(pred_dir / "nan.msrr", pred)
+        out = tmp_path / "dets"
+        assert cli.main(["decode", str(pred_dir), str(out)]) == 0
+        assert len(formats.read_detections(out / "nan.txt")) == 1
+        assert "dropped 1 cells" in capsys.readouterr().err
+
     def test_bad_magic_exits_one(self, tmp_path):
         pred_dir = tmp_path / "preds"
         pred_dir.mkdir()
@@ -208,6 +227,8 @@ class TestRenderCommand:
         svg = out.read_text()
         assert 'id="quads"' in svg
         assert svg.count("<path") == 2
+        quads = svg.split('id="quads"', 1)[1].split("</g>", 1)[0]
+        assert quads.count("<path") == 1   # one quad per detection
 
     def test_empty_inputs_valid_svg(self, tmp_path):
         out = tmp_path / "o.svg"
@@ -263,6 +284,10 @@ class TestDeterminismAndConfig:
         assert cfg["stride"] == 4
         assert cfg["alpha"] == 0.1
         assert cfg["mode"] == "polygon"
+        assert set(cfg) == {
+            "alpha", "iou_threshold", "min_cells", "min_points", "mode",
+            "noise_sigma", "prob_threshold", "seed", "stride",
+        }
 
     def test_noise_flag_is_seeded(self, gt_dir, tmp_path):
         labels = tmp_path / "labels"

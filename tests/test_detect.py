@@ -168,14 +168,14 @@ class TestReconstruct:
     def test_three_points_give_triangle(self):
         pts = np.array([(0.0, 0.0), (40.0, 0.0), (20.0, 30.0)])
         _, norm = ts.normalize_points(pts)
-        bp = detect.BoundaryPointSet(points=pts, norm=norm, instance_id=0, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, norm=norm, score=1.0)
         det = detect.reconstruct(bp)
         assert det.polygon.area == pytest.approx(600.0, rel=1e-9)
 
     def test_degenerate_rejected(self):
         pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
         _, norm = ts.normalize_points(pts)
-        bp = detect.BoundaryPointSet(points=pts, norm=norm, instance_id=0, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, norm=norm, score=1.0)
         with pytest.raises(detect.InstanceRejected):
             detect.reconstruct(bp)
 
@@ -234,10 +234,22 @@ class TestDecode:
     def test_quads_attached(self):
         ann = rect_annotation(10, 10, 120, 40)
         pred = perfect_pred(ann, (140, 60))
-        dets = detect.decode(pred, detect.DecodeConfig(with_quads=True))
-        assert dets[0].quad is not None
-        assert len(dets[0].quad.vertices) == 4
-        assert ts.polygon_iou(dets[0].quad, ann.polygon(), 256) >= 0.9
+        dets = detect.decode(pred, detect.DecodeConfig())
+        quad = ts.min_area_rect(dets[0].polygon)
+        assert quad is not None
+        assert len(quad.vertices) == 4
+        assert ts.polygon_iou(quad, ann.polygon(), 256) >= 0.9
+
+    def test_nonfinite_distance_cell_dropped(self):
+        ann = rect_annotation(10, 10, 120, 40)
+        pred = perfect_pred(ann, (140, 60))
+        rows, cols = np.nonzero(pred.prob)
+        pred.dist_x[rows[len(rows) // 2], cols[len(cols) // 2]] = np.nan
+        diag = detect.DecodeDiagnostics()
+        dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert len(dets) == 1
+        assert diag.nonfinite == 1
+        assert ts.polygon_iou(dets[0].polygon, ann.polygon(), 256) >= 0.9
 
     def test_deterministic(self):
         ann = rect_annotation(10, 10, 150, 50)

@@ -77,6 +77,11 @@ class TestMsraTd500:
         with pytest.raises(formats.ParseError):
             formats.parse_msra_td500("0 0 10 20 100 40")
 
+    def test_overflowing_corners(self):
+        # finite fields whose box corners overflow to inf
+        with pytest.raises(formats.ParseError):
+            formats.parse_msra_td500("0 0 1e308 0 1e308 10 0")
+
 
 class TestTotaltext:
     def test_quad(self):
