@@ -42,7 +42,7 @@ class DecodeConfig:
 class DecodeDiagnostics:
     components: int = 0
     rejected: int = 0
-    nonfinite: int = 0   # positive cells dropped for a NaN/inf distance
+    nonfinite: int = 0   # positive cells dropped for an inf prob or a NaN/inf distance
 
 
 @dataclass
@@ -119,12 +119,12 @@ def boundary_points(
 
     Point = cell center + predicted (dx, dy). Near-duplicates are merged on
     a 0.5 px lattice to keep the Delaunay step stable; the score is the mean
-    probability over the component's cells.
+    probability over the component's cells, clamped to [0, 1].
     """
     rows, cols = component[:, 0], component[:, 1]
     centers = pred.grid.cell_centers(rows, cols)
     pts = centers + np.stack([pred.dist_x[rows, cols], pred.dist_y[rows, cols]], axis=1)
-    score = float(pred.prob[rows, cols].mean())
+    score = float(np.clip(pred.prob[rows, cols].mean(), 0.0, 1.0))
 
     snapped = np.round(pts / 0.5).astype(np.int64)
     _, first = geom.unique_rows(snapped)
@@ -179,13 +179,14 @@ def decode(
 ) -> list[Detection]:
     """Full raster-to-detections pipeline, deterministic for fixed input.
 
-    Positive cells with a non-finite distance are dropped before grouping,
-    and rejected instances are dropped; pass a DecodeDiagnostics to get
-    counts. Detections come back sorted by score descending (stable).
+    Positive cells with a non-finite prob or distance are dropped before
+    grouping, and rejected instances are dropped; pass a DecodeDiagnostics to
+    get counts. Detections come back sorted by score descending (stable).
     """
     cfg = cfg or DecodeConfig()
     mask = binarize(pred.prob, cfg.prob_threshold)
-    nonfinite = mask.astype(bool) & ~(np.isfinite(pred.dist_x) & np.isfinite(pred.dist_y))
+    finite = np.isfinite(pred.prob) & np.isfinite(pred.dist_x) & np.isfinite(pred.dist_y)
+    nonfinite = mask.astype(bool) & ~finite
     mask[nonfinite] = 0
     comps = extract_instances(mask, cfg.resolved_min_cells(pred.grid.stride))
     if diagnostics is not None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .detect import DecodeConfig, Detection, PredictionRaster, add_distance_noise, decode
 from .labels import AnnotationPolygon, RasterGrid, encode
 from .geom import Polygon, min_area_rect, polygon_iou
@@ -62,12 +64,19 @@ def match(
     the threshold. In "quad" mode both sides are reduced to their
     minimum-area oriented rectangles first. Unmatched detections whose best
     overlap is an ignore region at or above the threshold are excluded from
-    the false positives.
+    the false positives. The threshold must lie in (0, 1]. Only pairs whose
+    bounding boxes overlap or touch, up to rounding, are rasterized: any
+    other pair has IoU exactly 0 (see polygon_mask), which never wins.
     """
     if mode not in ("polygon", "quad"):
         raise ValueError(f"mode must be 'polygon' or 'quad', got {mode!r}")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     det_polys = [_eval_polygon(d, mode) for d in dets]
     gt_polys = [_eval_polygon(g, mode) for g in gts]
+    db, gb = (np.array([p.bounds() for p in ps]).reshape(-1, 4) for ps in (det_polys, gt_polys))
+    tol = 1e-9 * (1.0 + np.abs(np.vstack([db, gb])).max(initial=0.0))   # see polygon_mask
+    near = ((db[:, None, :2] <= gb[:, 2:] + tol) & (gb[:, :2] <= db[:, None, 2:] + tol)).all(2)
     real = [i for i, g in enumerate(gts) if not g.ignore]
     ignored = [i for i, g in enumerate(gts) if g.ignore]
 
@@ -79,7 +88,7 @@ def match(
         best_iou = 0.0
         best_gt = -1
         for gi in real:
-            if gi in taken:
+            if gi in taken or not near[di, gi]:
                 continue
             iou = polygon_iou(det_polys[di], gt_polys[gi])
             if iou > best_iou:
@@ -94,7 +103,7 @@ def match(
     ignored_dets = 0
     for di in unmatched_dets:
         for gi in ignored:
-            if polygon_iou(det_polys[di], gt_polys[gi]) >= iou_threshold:
+            if near[di, gi] and polygon_iou(det_polys[di], gt_polys[gi]) >= iou_threshold:
                 ignored_dets += 1
                 break
 

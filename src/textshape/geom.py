@@ -615,22 +615,21 @@ def polygon_mask(
 
     Scanline even-odd fill: per grid row, the edge crossings are found (see
     :func:`_row_crossings`) and each one flips the cells whose center lies
-    right of it; a cell is inside when it was flipped an odd number of
-    times. Linear in crossings plus cells, so dense decoded polygons stay
-    cheap.
+    right of it; a cell is inside when its running uint8 flip count (mod 256
+    keeps the parity) is odd, so set centers lie in (xmin, xmax] x [ymin,
+    ymax) of the vertices, up to a few ulps of rounding in the crossing x.
+    Linear in crossings plus cells. Cell sizes must be positive.
     """
+    if not (cell[0] > 0 and cell[1] > 0):
+        raise ValueError(f"cell sizes must be positive, got {cell}")
     ny, nx = shape
     V = as_points(vertices)
     xc = origin[0] + (np.arange(nx) + 0.5) * cell[0]
     yc = origin[1] + (np.arange(ny) + 0.5) * cell[1]
-    xo = np.argsort(xc, kind="stable")   # ascending even for a negative cell size
-    yo = np.argsort(yc, kind="stable")
-    line, xs = _row_crossings(V, yc[yo])
-    pos = line * (nx + 1) + np.searchsorted(xc[xo], xs, side="right")
+    line, xs = _row_crossings(V, yc)
+    pos = line * (nx + 1) + np.searchsorted(xc, xs, side="right")
     flips = np.bincount(pos, minlength=ny * (nx + 1)).reshape(ny, nx + 1)[:, :nx]
-    mask = np.empty(shape, dtype=bool)
-    mask[np.ix_(yo, xo)] = np.cumsum(flips, axis=1) % 2 == 1
-    return mask
+    return (np.cumsum(flips.astype(np.uint8), axis=1, dtype=np.uint8) & 1).view(bool)
 
 
 def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:

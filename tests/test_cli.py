@@ -178,6 +178,15 @@ class TestEvalCommand:
         assert rc == 0
         assert "recall=0.750000" in out   # 3 of 4 ground truths found
 
+    def test_zero_iou_threshold_exits_one(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        for p in gt_dir.glob("*.txt"):
+            formats.write_detections(det_dir / p.name, [])
+        rc = cli.main(["eval", str(det_dir), str(gt_dir), "totaltext", "--iou-threshold", "0"])
+        assert rc == 1
+        assert "iou_threshold" in capsys.readouterr().err
+
     def test_mismatched_ids_error(self, gt_dir, tmp_path, capsys):
         det_dir = tmp_path / "dets"
         det_dir.mkdir()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import textshape as ts
-from textshape import detect
+from textshape import detect, formats
 from textshape.labels import RasterGrid
 from textshape.synth import rect_annotation, separated_pair
 from conftest import boundary_samples
@@ -250,6 +250,21 @@ class TestDecode:
         assert len(dets) == 1
         assert diag.nonfinite == 1
         assert ts.polygon_iou(dets[0].polygon, ann.polygon(), 256) >= 0.9
+
+    def test_infinite_prob_cell_dropped_and_output_readable(self, tmp_path):
+        ann = rect_annotation(10, 10, 120, 40)
+        pred = perfect_pred(ann, (140, 60))
+        rows, cols = np.nonzero(pred.prob)
+        pred.prob[rows[len(rows) // 2], cols[len(cols) // 2]] = np.inf
+        pred.prob[rows[len(rows) // 3], cols[len(cols) // 3]] = 5.0   # clamped to 1
+        diag = detect.DecodeDiagnostics()
+        dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert diag.nonfinite == 1
+        assert len(dets) == 1 and dets[0].score == 1.0
+        path = tmp_path / "dets.txt"
+        formats.write_detections(path, dets)
+        back = formats.read_detections(path)
+        assert [d.score for d in back] == [1.0]
 
     def test_deterministic(self):
         ann = rect_annotation(10, 10, 150, 50)

@@ -5,8 +5,9 @@ import pytest
 
 from textshape import evaluate
 from textshape.detect import Detection
-from textshape.geom import Polygon
-from textshape.synth import rect_annotation
+from textshape.geom import Polygon, min_area_rect, polygon_iou
+from textshape.labels import AnnotationPolygon
+from textshape.synth import arc_annotation, rect_annotation
 
 
 def det_for(ann, score=0.9, shift=(0.0, 0.0)):
@@ -113,6 +114,100 @@ class TestMatch:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             evaluate.match([], [], mode="boxes")
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf"), 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at 0 or below, a detection with no overlap at all would be "ignored"
+        ignore = rect_annotation(400, 400, 80, 30)
+        ignore.ignore = True
+        with pytest.raises(ValueError):
+            evaluate.match([det_for(GT_A)], [ignore], iou_threshold=threshold)
+
+    def test_threshold_one_accepted(self):
+        assert evaluate.match([det_for(GT_A)], [GT_A], iou_threshold=1.0).tp == 1
+
+    def test_pair_rasterized_past_its_bounding_box_still_scored(self):
+        # A long edge ends a few ulps left of the joint grid's column centre
+        # 2.0, just above a row centre: its rounded crossing lands on that
+        # centre, so the detection's mask reaches a ground truth whose
+        # bounding box its own does not touch.
+        yc = -1e6 + 255.5 * 1000100 / 256
+        x2 = 2.0 - 10 * np.spacing(2.0)
+        tip = (x2, np.nextafter(yc, np.inf))
+        det = Detection(polygon=Polygon.make([(-1000.0, -1e6), tip, (-1000.0, 100.0)]), score=0.9)
+        x0 = np.nextafter(x2, np.inf)
+        gt = AnnotationPolygon.make([(x0, -1900.0), (24.0, -1900.0)], [(x0, 60.0), (24.0, 60.0)])
+        assert det.polygon.bounds()[2] < gt.polygon().bounds()[0]
+        rep = evaluate.match([det], [gt], iou_threshold=1e-6)
+        assert rep.tp == 1 and rep.matches[0][2] > 0
+
+
+def brute_force_match(dets, gts, iou_threshold, mode):
+    """The greedy matcher over the full IoU matrix, every pair rasterized."""
+    def shape(p):
+        return min_area_rect(p) if mode == "quad" else p
+
+    iou = [[polygon_iou(shape(d.polygon), shape(g.polygon())) for g in gts] for d in dets]
+    taken, matches, unmatched = set(), [], []
+    for di in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+        free = [gi for gi, g in enumerate(gts) if not g.ignore and gi not in taken]
+        best = max(free, key=lambda gi: (iou[di][gi], -gi), default=None)
+        if best is not None and iou[di][best] > 0 and iou[di][best] >= iou_threshold:
+            taken.add(best)
+            matches.append((di, best, iou[di][best]))
+        else:
+            unmatched.append(di)
+    ignored = sum(
+        any(g.ignore and iou[di][gi] >= iou_threshold for gi, g in enumerate(gts))
+        for di in unmatched
+    )
+    real = sum(not g.ignore for g in gts)
+    counts = (len(matches), len(dets) - len(matches) - ignored, real - len(matches), ignored)
+    return counts, sorted(matches)
+
+
+def random_page(rng):
+    """Lines on a 20 px lattice, so many bounding boxes touch exactly, with
+    ignore regions, tied scores and detections spanning two lines."""
+    gts = []
+    for _ in range(6):
+        x, y = rng.integers(0, 8) * 20.0, rng.integers(0, 5) * 20.0
+        if rng.random() < 0.2:
+            ann = arc_annotation(x + 40, y + 60, 40.0, 10.0, 60.0)
+        else:
+            ann = rect_annotation(x, y, 20.0 * rng.integers(1, 4), 20.0, rng.choice([0.0, 0.0, 8.0]))
+        ann.ignore = bool(rng.random() < 0.25)
+        gts.append(ann)
+    dets = []
+    for _ in range(7):
+        a = gts[rng.integers(len(gts))]
+        shift = rng.choice([0.0, 3.0, 20.0, 60.0], 2) * rng.choice([-1, 1], 2)
+        if rng.random() < 0.25:   # spans this line and the next box over
+            ring = a.closed_vertices()
+            ring = np.vstack([ring.min(0), ring.max(0) + (20.0, 0.0)])
+            ring = [ring[0], (ring[1, 0], ring[0, 1]), ring[1], (ring[0, 0], ring[1, 1])]
+        else:
+            ring = a.closed_vertices()
+        poly = Polygon.make(np.asarray(ring) + shift)
+        dets.append(Detection(polygon=poly, score=float(rng.choice([0.5, 0.9]))))
+    return dets, gts
+
+
+@pytest.mark.parametrize("mode", ["polygon", "quad"])
+def test_match_equals_brute_force_on_random_pages(mode):
+    rng = np.random.default_rng(11)
+    touching = pruned = 0
+    for _ in range(12):
+        dets, gts = random_page(rng)
+        db = np.array([d.polygon.bounds() for d in dets])
+        gb = np.array([g.polygon().bounds() for g in gts])
+        gap = np.maximum(db[:, None, :2] - gb[:, 2:], gb[:, :2] - db[:, None, 2:]).max(axis=2)
+        touching += int((gap == 0).sum())
+        pruned += int((gap > 0).sum())
+        for threshold in (0.5, 0.3, 1e-6):
+            rep = evaluate.match(dets, gts, iou_threshold=threshold, mode=mode)
+            assert (rep.counts, rep.matches) == brute_force_match(dets, gts, threshold, mode)
+    assert touching > 0 and pruned > 0
 
 
 class TestDataset:

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -78,9 +79,12 @@ class TestMsraTd500:
             formats.parse_msra_td500("0 0 10 20 100 40")
 
     def test_overflowing_corners(self):
-        # finite fields whose box corners overflow to inf
-        with pytest.raises(formats.ParseError):
-            formats.parse_msra_td500("0 0 1e308 0 1e308 10 0")
+        # finite fields whose box corners overflow to inf: a ParseError and
+        # no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(formats.ParseError):
+                formats.parse_msra_td500("0 0 1e308 0 1e308 10 0")
 
 
 class TestTotaltext:

@@ -284,12 +284,9 @@ class TestPointInPolygon:
         assert 0 < want.sum() < len(want)
         np.testing.assert_array_equal(got, want)
 
-    def test_mask_matches_per_edge_parity_on_dense_concave_outline(self):
-        # polygon_mask counts crossings strictly left of each cell center.
-        # Centers on the 0.5 px lattice sit exactly on vertices and
-        # horizontal edges, where the two sides of a tie would differ.
-        v = decoded_arc_outline()
-        origin, cell, shape = (-0.25, 40.25), (0.5, 0.5), (30, 1700)
+    @staticmethod
+    def left_crossing_parity(v, origin, cell, shape):
+        """Per-edge parity of the crossings strictly left of each cell center."""
         xc = origin[0] + (np.arange(shape[1]) + 0.5) * cell[0]
         yc = origin[1] + (np.arange(shape[0]) + 0.5) * cell[1]
         gx, gy = np.meshgrid(xc, yc)
@@ -298,9 +295,40 @@ class TestPointInPolygon:
             cond = (yi > gy) != (yj > gy)
             with np.errstate(divide="ignore", invalid="ignore"):
                 want ^= cond & (xi + (gy - yi) * (xj - xi) / (yj - yi) < gx)
+        return want
+
+    def test_mask_matches_per_edge_parity_on_dense_concave_outline(self):
+        # polygon_mask counts crossings strictly left of each cell center.
+        # Centers on the 0.5 px lattice sit exactly on vertices and
+        # horizontal edges, where the two sides of a tie would differ.
+        v = decoded_arc_outline()
+        origin, cell, shape = (-0.25, 40.25), (0.5, 0.5), (30, 1700)
+        want = self.left_crossing_parity(v, origin, cell, shape)
         got = geom.polygon_mask(v, origin, cell, shape)
         assert 0 < want.sum() < want.size
         np.testing.assert_array_equal(got, want)
+
+    def test_mask_parity_survives_more_than_255_crossings_in_a_cell(self):
+        # A 400-tooth saw in x in (0, 1) puts about 400 crossings into each
+        # of two cells per row; the uint8 running count wraps but keeps parity.
+        k = np.arange(400)
+        teeth = np.stack([1 - (k + 0.5) / 400, np.ones(400), 1 - (k + 1) / 400, np.full(400, 10.0)], 1)
+        v = np.vstack([[(0, 0), (30, 0), (30, 10), (1, 10)], teeth.reshape(-1, 2)])
+        origin, cell, shape = (-1.0, -0.5), (0.5, 0.75), (16, 64)
+        y = origin[1] + 7.5 * cell[1]
+        a, b = v, np.roll(v, -1, axis=0)
+        hit = (a[:, 1] > y) != (b[:, 1] > y)
+        xs = a[hit, 0] + (y - a[hit, 1]) * (b[hit, 0] - a[hit, 0]) / (b[hit, 1] - a[hit, 1])
+        assert np.histogram(xs, bins=origin[0] + np.arange(65) * cell[0])[0].max() > 255
+        want = self.left_crossing_parity(v, origin, cell, shape)
+        got = geom.polygon_mask(v, origin, cell, shape)
+        assert 0 < want.sum() < want.size
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cell", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
+    def test_mask_rejects_non_positive_cell(self, cell):
+        with pytest.raises(ValueError):
+            geom.polygon_mask([(0, 0), (4, 0), (4, 4), (0, 4)], (0.0, 0.0), cell, (4, 4))
 
     def test_empty_queries(self):
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
