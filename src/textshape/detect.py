@@ -18,6 +18,7 @@ from . import geom
 from .labels import LabelRaster, RasterGrid
 
 DEFAULT_ALPHA = 0.06
+THIN_CELLS_PER_ALPHA = 16   # boundary-point lattice cells per alpha of the instance extent
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 
@@ -43,6 +44,8 @@ class DecodeDiagnostics:
     components: int = 0
     rejected: int = 0
     nonfinite: int = 0   # positive cells dropped for an inf prob or a NaN/inf distance
+    cells: int = 0       # cells of the instances that reach boundary_points
+    points: int = 0      # points kept after thinning, by the instances it returns
 
 
 @dataclass
@@ -113,21 +116,33 @@ def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
 
 
 def boundary_points(
-    component: np.ndarray, pred: PredictionRaster, min_points: int = 8
+    component: np.ndarray,
+    pred: PredictionRaster,
+    min_points: int = 8,
+    alpha: float = DEFAULT_ALPHA,
 ) -> BoundaryPointSet:
-    """Regress every component cell to its boundary point.
+    """Regress every component cell to its boundary point, then thin them.
 
-    Point = cell center + predicted (dx, dy). Near-duplicates are merged on
-    a 0.5 px lattice to keep the Delaunay step stable; the score is the mean
-    probability over the component's cells, clamped to [0, 1].
+    Point = cell center + predicted (dx, dy). The points are snapped to a
+    square lattice of step max(0.5 px, alpha * extent / THIN_CELLS_PER_ALPHA),
+    where extent is the larger side of their bounding box, and the first
+    point of each lattice cell (in component order) is kept. Alpha is a
+    length in the unit square the extent maps to, so a lattice this much
+    finer than alpha keeps the alpha shape while Delaunay sees far fewer
+    points; instances under 0.5 * THIN_CELLS_PER_ALPHA / alpha px keep the
+    0.5 px step. An alpha above 1, the side of that square, thins as 1 does,
+    so the lattice never gets coarser than 1/THIN_CELLS_PER_ALPHA of the
+    extent. The score is the mean probability over the component's cells,
+    clamped to [0, 1].
     """
     rows, cols = component[:, 0], component[:, 1]
     centers = pred.grid.cell_centers(rows, cols)
     pts = centers + np.stack([pred.dist_x[rows, cols], pred.dist_y[rows, cols]], axis=1)
     score = float(np.clip(pred.prob[rows, cols].mean(), 0.0, 1.0))
 
-    snapped = np.round(pts / 0.5).astype(np.int64)
-    _, first = geom.unique_rows(snapped)
+    extent = float(np.ptp(pts, axis=0).max())
+    step = max(0.5, min(alpha, 1.0) * extent / THIN_CELLS_PER_ALPHA)
+    _, first = geom.unique_rows(np.round(pts / step).astype(np.int64))
     pts = pts[np.sort(first)]
 
     if len(pts) < min_points:
@@ -195,8 +210,13 @@ def decode(
 
     dets = []
     for comp in comps:
+        if diagnostics is not None:
+            diagnostics.cells += len(comp)
         try:
-            dets.append(reconstruct(boundary_points(comp, pred, cfg.min_points), cfg.alpha))
+            points = boundary_points(comp, pred, cfg.min_points, cfg.alpha)
+            if diagnostics is not None:
+                diagnostics.points += len(points.points)
+            dets.append(reconstruct(points, cfg.alpha))
         except InstanceRejected:
             if diagnostics is not None:
                 diagnostics.rejected += 1

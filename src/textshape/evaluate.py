@@ -51,6 +51,13 @@ def _eval_polygon(obj, mode: str) -> Polygon:
     return min_area_rect(poly) if mode == "quad" else poly
 
 
+def _check_match_args(iou_threshold: float, mode: str) -> None:
+    if mode not in ("polygon", "quad"):
+        raise ValueError(f"mode must be 'polygon' or 'quad', got {mode!r}")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+
+
 def match(
     dets: list[Detection],
     gts: list[AnnotationPolygon],
@@ -68,10 +75,7 @@ def match(
     bounding boxes overlap or touch, up to rounding, are rasterized: any
     other pair has IoU exactly 0 (see polygon_mask), which never wins.
     """
-    if mode not in ("polygon", "quad"):
-        raise ValueError(f"mode must be 'polygon' or 'quad', got {mode!r}")
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    _check_match_args(iou_threshold, mode)
     det_polys = [_eval_polygon(d, mode) for d in dets]
     gt_polys = [_eval_polygon(g, mode) for g in gts]
     db, gb = (np.array([p.bounds() for p in ps]).reshape(-1, 4) for ps in (det_polys, gt_polys))
@@ -164,7 +168,9 @@ def evaluate_dataset(
 
     Ids present on only one side are diagnostics; unless allow_missing is
     set they are an error. Counts are aggregated before computing P/R/F.
+    The threshold and mode are checked as in match, even when no ids pair.
     """
+    _check_match_args(iou_threshold, mode)
     missing_dets = sorted(set(gts_by_image) - set(dets_by_image))
     missing_gts = sorted(set(dets_by_image) - set(gts_by_image))
     if (missing_dets or missing_gts) and not allow_missing:

@@ -309,7 +309,11 @@ def write_raster(path: str | Path, raster: LabelRaster | PredictionRaster) -> No
 
 
 def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
-    """Read an MSRR file; 4 channels decode as labels, 3 as predictions."""
+    """Read an MSRR file; 4 channels decode as labels, 3 as predictions.
+
+    Label masks come back as uint8, as encode makes them; a mask plane with
+    a value other than 0 or 1 is a RasterFormatError.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 24 or blob[:4] != MSRR_MAGIC:
         raise RasterFormatError(f"{path}: not an MSRR file")
@@ -333,12 +337,17 @@ def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         )
         off += size
     if channels == 4:
+        flags = []
+        for plane in (planes[0], planes[3]):
+            if not np.isin(plane, (0.0, 1.0)).all():
+                raise RasterFormatError(f"{path}: label mask holds a value other than 0 or 1")
+            flags.append(plane.astype(np.uint8))
         return LabelRaster(
             grid=grid,
-            mask=planes[0],
+            mask=flags[0],
             dist_x=planes[1],
             dist_y=planes[2],
-            ignore_mask=planes[3],
+            ignore_mask=flags[1],
         )
     if channels == 3:
         return PredictionRaster(grid=grid, prob=planes[0], dist_x=planes[1], dist_y=planes[2])

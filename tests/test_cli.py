@@ -187,6 +187,17 @@ class TestEvalCommand:
         assert rc == 1
         assert "iou_threshold" in capsys.readouterr().err
 
+    def test_zero_iou_threshold_exits_one_when_no_ids_pair(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        formats.write_detections(det_dir / "zzz.txt", [])
+        rc = cli.main(
+            ["eval", str(det_dir), str(gt_dir), "totaltext", "--iou-threshold", "0",
+             "--allow-missing"]
+        )
+        assert rc == 1
+        assert "iou_threshold" in capsys.readouterr().err
+
     def test_mismatched_ids_error(self, gt_dir, tmp_path, capsys):
         det_dir = tmp_path / "dets"
         det_dir.mkdir()

@@ -157,6 +157,67 @@ class TestBoundaryPoints:
         assert bp.score == pytest.approx((0.6 + 0.8 + 1.0) / 3)
 
 
+def regressed_points(comp, pred):
+    """Cell center + predicted offset for each component cell, in order."""
+    rows, cols = comp[:, 0], comp[:, 1]
+    return pred.grid.cell_centers(rows, cols) + np.stack(
+        [pred.dist_x[rows, cols], pred.dist_y[rows, cols]], axis=1
+    )
+
+
+def first_per_cell(pts, step):
+    """Oracle: the first point of each lattice cell of the given step."""
+    seen = set()
+    keep = []
+    for i, (x, y) in enumerate(pts):
+        key = (round(x / step), round(y / step))
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return pts[keep]
+
+
+def noisy_component(ann, size, sigma=1.0, seed=3):
+    pred = detect.add_distance_noise(perfect_pred(ann, size), sigma, seed)
+    comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+    return comp, pred
+
+
+class TestThinning:
+    def test_small_instance_keeps_the_half_pixel_dedupe(self):
+        comp, pred = noisy_component(rect_annotation(10, 10, 100, 40), (130, 70))
+        pts = regressed_points(comp, pred)
+        extent = np.ptp(pts, axis=0).max()
+        assert extent < 0.5 * detect.THIN_CELLS_PER_ALPHA / detect.DEFAULT_ALPHA
+        bp = detect.boundary_points(comp, pred, alpha=detect.DEFAULT_ALPHA)
+        assert np.array_equal(bp.points, first_per_cell(pts, 0.5))
+
+    def test_large_instance_keeps_first_point_of_each_alpha_lattice_cell(self):
+        comp, pred = noisy_component(rect_annotation(10, 10, 600, 120), (630, 150))
+        pts = regressed_points(comp, pred)
+        step = detect.DEFAULT_ALPHA * np.ptp(pts, axis=0).max() / detect.THIN_CELLS_PER_ALPHA
+        assert step > 2.0
+        bp = detect.boundary_points(comp, pred, alpha=detect.DEFAULT_ALPHA)
+        # A subset of the regressed points, in component order ...
+        index = {tuple(p): i for i, p in enumerate(pts.tolist())}
+        order = [index[tuple(p)] for p in bp.points.tolist()]
+        assert order == sorted(set(order))
+        # ... one per occupied lattice cell, and the first one of it.
+        kept_cells = np.round(bp.points / step)
+        all_cells = np.round(pts / step)
+        assert len(np.unique(kept_cells, axis=0)) == len(bp.points)
+        assert len(bp.points) <= len(np.unique(all_cells, axis=0))
+        assert np.array_equal(bp.points, first_per_cell(pts, step))
+        assert len(bp.points) < len(first_per_cell(pts, 0.5)) / 4
+
+    def test_alpha_above_one_thins_as_one(self):
+        comp, pred = noisy_component(rect_annotation(10, 10, 600, 60), (630, 90))
+        at_one = detect.boundary_points(comp, pred, alpha=1.0).points
+        for alpha in (2.0, float("inf")):
+            assert np.array_equal(detect.boundary_points(comp, pred, alpha=alpha).points, at_one)
+        assert len(detect.decode(pred, detect.DecodeConfig(alpha=float("inf")))) == 1
+
+
 class TestReconstruct:
     def test_rectangle_ring(self):
         ann = rect_annotation(10, 10, 300, 60)
@@ -230,6 +291,15 @@ class TestDecode:
         dets = detect.decode(pred, detect.DecodeConfig(min_cells=8), diag)
         assert diag.components == 1
         assert len(dets) + diag.rejected == 1
+
+    def test_diagnostics_count_cells_and_thinned_points(self):
+        pred = perfect_pred(rect_annotation(10, 10, 300, 40), (330, 60))
+        diag = detect.DecodeDiagnostics()
+        dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert len(dets) == 1
+        comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+        kept = detect.boundary_points(comp, pred, alpha=detect.DEFAULT_ALPHA).points
+        assert (diag.cells, diag.points) == (len(comp), len(kept)) == (6000, 532)
 
     def test_quads_attached(self):
         ann = rect_annotation(10, 10, 120, 40)

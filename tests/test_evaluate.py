@@ -239,6 +239,13 @@ class TestDataset:
         assert rep.missing_detections == ["b"]
         assert rep.missing_ground_truth == ["c"]
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"iou_threshold": 0.0}, {"iou_threshold": float("nan")}, {"mode": "box"}]
+    )
+    def test_bad_arguments_rejected_when_no_ids_pair(self, kwargs):
+        with pytest.raises(ValueError):
+            evaluate.evaluate_dataset({"a": []}, {"b": []}, allow_missing=True, **kwargs)
+
     def test_report_lines(self):
         rep = evaluate.match([det_for(GT_A)], [GT_A, GT_B])
         lines = evaluate.report_lines(rep)

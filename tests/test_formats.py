@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from textshape import formats
 from textshape.detect import Detection, PredictionRaster
 from textshape.geom import Polygon
-from textshape.labels import AnnotationPolygon, LabelRaster, RasterGrid
+from textshape.labels import AnnotationPolygon, LabelRaster, RasterGrid, encode
 from textshape.synth import rect_annotation
 
 
@@ -183,6 +183,32 @@ class TestMsrrFormat:
         formats.write_raster(p1, raster)
         formats.write_raster(p2, formats.read_raster(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_encoded_labels_roundtrip_with_uint8_masks(self, tmp_path):
+        grid = RasterGrid(width=40, height=24, stride=2)
+        dont_care = rect_annotation(20, 30, 50, 14)
+        dont_care.ignore = True
+        anns = [rect_annotation(4, 4, 60, 30), dont_care]
+        label = encode(anns, grid)
+        path = tmp_path / "l.msrr"
+        formats.write_raster(path, label)
+        back = formats.read_raster(path)
+        for name in ("mask", "ignore_mask"):
+            plane, orig = getattr(back, name), getattr(label, name)
+            assert plane.dtype == orig.dtype == np.uint8
+            assert np.array_equal(plane, orig)
+        assert back.mask.any() and back.ignore_mask.any()
+        assert np.array_equal(back.dist_x, label.dist_x.astype(np.float32))
+
+    @pytest.mark.parametrize("plane", ["mask", "ignore_mask"])
+    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, float("nan")])
+    def test_label_mask_value_outside_zero_one_rejected(self, tmp_path, rng, plane, value):
+        raster = label_raster_from(rng)
+        getattr(raster, plane)[1, 2] = value
+        path = tmp_path / "m.msrr"
+        formats.write_raster(path, raster)
+        with pytest.raises(formats.RasterFormatError):
+            formats.read_raster(path)
 
     def test_prediction_raster_roundtrip(self, tmp_path, rng):
         grid = RasterGrid(width=4, height=3, stride=4)
