@@ -1,8 +1,15 @@
 """Batch command line: encode / decode / roundtrip / eval / render / netplan.
 
-Exit status contract: 0 success, 1 input error, 2 threshold failure. Every
-command is deterministic given its inputs, configuration and seed, and every
-output directory receives the serialized run configuration.
+Each subcommand takes only the flags it reads: encode ``--stride``; decode
+``--alpha --prob-threshold --min-points --min-cells --seed --noise-sigma``;
+roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
+eval ``--iou-threshold --mode --report --allow-missing``.
+
+Exit status contract: 0 success; 1 for any missing, unreadable or malformed
+input, reported as one ``error:`` line on stderr; 2 for a roundtrip threshold
+failure or an argparse usage error. Every command is deterministic given its
+inputs, configuration and seed, and every output directory receives the
+serialized run configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from .labels import RasterGrid, encode
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_THRESHOLD = 2
+
+# Raised by bad input: ParseError, RasterFormatError and ShapePlanError are ValueErrors.
+INPUT_ERRORS = (ValueError, OSError)
 
 
 @dataclass
@@ -62,30 +72,39 @@ class RunConfig:
         )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    d = RunConfig
-    parser.add_argument("--stride", type=int, default=d.stride)
-    parser.add_argument("--alpha", type=float, default=d.alpha)
-    parser.add_argument("--prob-threshold", type=float, default=d.prob_threshold)
-    parser.add_argument("--iou-threshold", type=float, default=d.iou_threshold)
-    parser.add_argument("--mode", choices=("polygon", "quad"), default=d.mode)
-    parser.add_argument("--min-points", type=int, default=d.min_points)
-    parser.add_argument("--min-cells", type=int, default=d.min_cells)
-    parser.add_argument("--seed", type=int, default=d.seed)
+# RunConfig field -> argparse kwargs; the default comes from RunConfig.
+_FLAGS = {
+    "stride": {"type": int},
+    "alpha": {"type": float},
+    "prob_threshold": {"type": float},
+    "iou_threshold": {"type": float},
+    "mode": {"choices": ("polygon", "quad")},
+    "min_points": {"type": int},
+    "min_cells": {"type": int},
+    "seed": {"type": int},
+    "noise_sigma": {"type": float},
+}
+_DECODE_FLAGS = ("alpha", "prob_threshold", "min_points", "min_cells", "seed", "noise_sigma")
 
 
-def _annotation_files(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.glob("*.txt") if p.is_file())
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), default=getattr(RunConfig, name), **_FLAGS[name]
+        )
+
+
+def _files(directory: Path, pattern: str) -> list[Path]:
+    """Sorted regular files in ``directory`` matching ``pattern``."""
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    return sorted(p for p in directory.glob(pattern) if p.is_file())
 
 
 def cmd_encode(args) -> int:
     cfg = RunConfig.from_args(args)
-    gt_dir = Path(args.gt_dir)
     out_dir = Path(args.out_dir)
-    if not gt_dir.is_dir():
-        print(f"error: {gt_dir} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
-    files = _annotation_files(gt_dir)
+    files = _files(Path(args.gt_dir), "*.txt")
     failures = []
     written = instances = conflicts = 0
     cfg.dump(out_dir)
@@ -94,7 +113,7 @@ def cmd_encode(args) -> int:
             record = formats.read_annotation_file(path, args.format)
             grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
             raster = encode(record.annotations, grid)
-        except (formats.ParseError, ValueError) as exc:
+        except INPUT_ERRORS as exc:
             failures.append(f"{path}: {exc}")
             continue
         formats.write_raster(out_dir / f"{record.image_id}.msrr", raster)
@@ -109,18 +128,15 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = RunConfig.from_args(args)
-    pred_dir = Path(args.pred_dir)
     out_dir = Path(args.out_dir)
-    if not pred_dir.is_dir():
-        print(f"error: {pred_dir} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
+    files = _files(Path(args.pred_dir), "*.msrr")
     cfg.dump(out_dir)
     failures = []
     total = 0
-    for path in sorted(pred_dir.glob("*.msrr")):
+    for path in files:
         try:
             raster = formats.read_raster(path)
-        except formats.RasterFormatError as exc:
+        except INPUT_ERRORS as exc:
             failures.append(str(exc))
             continue
         pred = (
@@ -132,8 +148,8 @@ def cmd_decode(args) -> int:
         diag = DecodeDiagnostics()
         dets = decode(pred, cfg.decode_config(), diag)
         if diag.nonfinite:
-            print(f"warning: {path}: dropped {diag.nonfinite} cells with non-finite distances",
-                  file=sys.stderr)
+            print(f"warning: {path}: dropped {diag.nonfinite} cells with non-finite "
+                  "prob or distance", file=sys.stderr)
         formats.write_detections(out_dir / f"{path.stem}.txt", dets)
         total += len(dets)
     for failure in failures:
@@ -144,27 +160,18 @@ def cmd_decode(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     cfg = RunConfig.from_args(args)
-    gt_dir = Path(args.gt_dir)
     report_path = Path(args.report)
-    if not gt_dir.is_dir():
-        print(f"error: {gt_dir} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
-
     rows = []
     gt_total = det_total = 0
-    try:
-        for path in _annotation_files(gt_dir):
-            record = formats.read_annotation_file(path, args.format)
-            grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
-            ious, n_dets = evaluate.roundtrip(
-                record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
-            )
-            gt_total += len(ious)
-            det_total += n_dets
-            rows.extend((record.image_id, gi, iou) for gi, iou in enumerate(ious))
-    except (formats.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    for path in _files(Path(args.gt_dir), "*.txt"):
+        record = formats.read_annotation_file(path, args.format)
+        grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
+        ious, n_dets = evaluate.roundtrip(
+            record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
+        )
+        gt_total += len(ious)
+        det_total += n_dets
+        rows.extend((record.image_id, gi, iou) for gi, iou in enumerate(ious))
 
     ious = np.array([iou for _, _, iou in rows]) if rows else np.zeros(0)
     mean_iou = float(ious.mean()) if len(ious) else 0.0
@@ -187,23 +194,18 @@ def cmd_roundtrip(args) -> int:
 def cmd_eval(args) -> int:
     cfg = RunConfig.from_args(args)
     det_dir = Path(args.det_dir)
-    gt_dir = Path(args.gt_dir)
-    try:
-        dets = {p.stem: formats.read_detections(p) for p in _annotation_files(det_dir)}
-        gts = {
-            p.stem: formats.read_annotation_file(p, args.format).annotations
-            for p in _annotation_files(gt_dir)
-        }
-        report = evaluate.evaluate_dataset(
-            dets,
-            gts,
-            iou_threshold=cfg.iou_threshold,
-            mode=cfg.mode,
-            allow_missing=args.allow_missing,
-        )
-    except (formats.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    dets = {p.stem: formats.read_detections(p) for p in _files(det_dir, "*.txt")}
+    gts = {
+        p.stem: formats.read_annotation_file(p, args.format).annotations
+        for p in _files(Path(args.gt_dir), "*.txt")
+    }
+    report = evaluate.evaluate_dataset(
+        dets,
+        gts,
+        iou_threshold=cfg.iou_threshold,
+        mode=cfg.mode,
+        allow_missing=args.allow_missing,
+    )
     for line in evaluate.report_lines(report.overall):
         print(line)
     out = Path(args.report) if args.report else det_dir / "eval_report.txt"
@@ -226,14 +228,10 @@ def cmd_eval(args) -> int:
 def cmd_render(args) -> int:
     gts = []
     dets = []
-    try:
-        if args.gt:
-            gts = formats.read_annotation_file(args.gt, args.format).annotations
-        if args.det:
-            dets = formats.read_detections(args.det)
-    except (formats.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.gt:
+        gts = formats.read_annotation_file(args.gt, args.format).annotations
+    if args.det:
+        dets = formats.read_detections(args.det)
     svg = render.render_svg(gts, dets, with_quads=args.quad)
     Path(args.out).write_text(svg)
     print(f"wrote {args.out}")
@@ -241,11 +239,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_netplan(args) -> int:
-    try:
-        plan = netplan.shape_plan(args.height, args.width, args.channels)
-    except netplan.ShapePlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    plan = netplan.shape_plan(args.height, args.width, args.channels)
     print(netplan.format_plan(plan))
     return EXIT_OK
 
@@ -261,33 +255,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt_dir")
     p.add_argument("format", choices=formats.ANNOTATION_FORMATS)
     p.add_argument("out_dir")
-    _add_common(p)
+    _add_flags(p, "stride")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="MSRR prediction rasters -> detection files")
     p.add_argument("pred_dir")
     p.add_argument("out_dir")
-    p.add_argument("--noise-sigma", type=float, default=RunConfig.noise_sigma)
-    _add_common(p)
+    _add_flags(p, *_DECODE_FLAGS)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode -> decode -> per-instance IoU report")
     p.add_argument("gt_dir")
     p.add_argument("format", choices=formats.ANNOTATION_FORMATS)
     p.add_argument("report")
-    p.add_argument("--noise-sigma", type=float, default=RunConfig.noise_sigma)
+    _add_flags(p, "stride", *_DECODE_FLAGS)
     p.add_argument("--min-mean-iou", dest="min_mean_iou", type=float, default=0.85)
     p.add_argument("--min-instance-iou", dest="min_instance_iou", type=float, default=0.75)
-    _add_common(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("det_dir")
     p.add_argument("gt_dir")
     p.add_argument("format", choices=formats.ANNOTATION_FORMATS)
+    _add_flags(p, "iou_threshold", "mode")
     p.add_argument("--report", default=None)
     p.add_argument("--allow-missing", dest="allow_missing", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render ground truth and detections to SVG")
@@ -309,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

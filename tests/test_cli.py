@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -205,6 +206,22 @@ class TestEvalCommand:
         rc = cli.main(["eval", str(det_dir), str(gt_dir), "totaltext"])
         assert rc == 1
 
+    @pytest.mark.parametrize("missing", ["det", "gt", "both"])
+    def test_missing_dir_exits_one(self, gt_dir, tmp_path, capsys, missing):
+        det_dir = tmp_path / "dets"
+        if missing == "gt":
+            det_dir.mkdir()
+            formats.write_detections(det_dir / "img_a.txt", [])
+        if missing != "det":
+            gt_dir = tmp_path / "no_gt"
+        rc = cli.main(
+            ["eval", str(det_dir), str(gt_dir), "totaltext", "--allow-missing"]
+        )
+        assert rc == 1
+        assert "is not a directory" in capsys.readouterr().err
+        assert det_dir.exists() == (missing == "gt")
+        assert not (det_dir / "eval_report.txt").exists()
+
     def test_mismatched_ids_allowed_with_flag(self, gt_dir, tmp_path):
         det_dir = tmp_path / "dets"
         det_dir.mkdir()
@@ -296,18 +313,21 @@ class TestDeterminismAndConfig:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_run_config_serialized(self, gt_dir, tmp_path):
-        out = tmp_path / "o"
-        assert cli.main(
-            ["encode", str(gt_dir), "totaltext", str(out), "--stride", "4", "--alpha", "0.1"]
-        ) == 0
-        cfg = json.loads((out / "run_config.json").read_text())
-        assert cfg["stride"] == 4
-        assert cfg["alpha"] == 0.1
-        assert cfg["mode"] == "polygon"
-        assert set(cfg) == {
+        keys = {
             "alpha", "iou_threshold", "min_cells", "min_points", "mode",
             "noise_sigma", "prob_threshold", "seed", "stride",
         }
+        labels = tmp_path / "labels"
+        assert cli.main(["encode", str(gt_dir), "totaltext", str(labels), "--stride", "4"]) == 0
+        cfg = json.loads((labels / "run_config.json").read_text())
+        assert cfg["stride"] == 4
+        assert cfg["mode"] == "polygon"
+        assert set(cfg) == keys
+        dets = tmp_path / "dets"
+        assert cli.main(["decode", str(labels), str(dets), "--alpha", "0.1"]) == 0
+        cfg = json.loads((dets / "run_config.json").read_text())
+        assert cfg["alpha"] == 0.1
+        assert set(cfg) == keys
 
     def test_noise_flag_is_seeded(self, gt_dir, tmp_path):
         labels = tmp_path / "labels"
@@ -320,3 +340,104 @@ class TestDeterminismAndConfig:
             ) == 0
         for p in d1.glob("*.txt"):
             assert p.read_bytes() == (d2 / p.name).read_bytes()
+
+
+class TestFlags:
+    DECODE = {"--alpha", "--prob-threshold", "--min-points", "--min-cells", "--seed",
+              "--noise-sigma"}
+    EXPECTED = {
+        "encode": {"--stride"},
+        "decode": DECODE,
+        "roundtrip": {"--stride", "--min-mean-iou", "--min-instance-iou"} | DECODE,
+        "eval": {"--iou-threshold", "--mode", "--report", "--allow-missing"},
+        "render": {"--gt", "--format", "--det", "--quad"},
+        "netplan": set(),
+    }
+
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == self.EXPECTED
+        assert sum(len(got[c]) for c in ("encode", "decode", "roundtrip", "eval")) == 20
+
+    def test_unread_flag_is_a_usage_error(self, gt_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["encode", str(gt_dir), "totaltext", str(tmp_path / "o"), "--alpha", "0.1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+
+def _hostile_tree(root):
+    """Inputs no subcommand may answer with a traceback, under ``root``."""
+    from textshape.detect import PredictionRaster
+
+    (root / "gt").mkdir()
+    formats.write_annotation_file(root / "gt" / "a.txt", [rect_annotation(10, 10, 120, 40)],
+                                  "totaltext")
+    (root / "binary").mkdir()
+    for name in ("a.txt", "a.msrr"):
+        (root / "binary" / name).write_bytes(bytes(range(256)) * 4)
+    (root / "dets").mkdir()
+    formats.write_detections(root / "dets" / "a.txt", [])
+    (root / "empty").mkdir()
+    (root / "dirs" / "x.msrr").mkdir(parents=True)
+    (root / "nan").mkdir()
+    grid = RasterGrid(width=140, height=60, stride=1)
+    label = ts.encode([rect_annotation(10, 10, 120, 40)], grid)
+    prob = label.mask.astype(np.float32)
+    dist_x = label.dist_x.copy()
+    rows, cols = np.nonzero(label.mask)
+    prob[rows[::50], cols[::50]] = np.nan
+    dist_x[rows[7::50], cols[7::50]] = np.nan
+    formats.write_raster(
+        root / "nan" / "p.msrr",
+        PredictionRaster(grid=grid, prob=prob, dist_x=dist_x, dist_y=label.dist_y),
+    )
+    (root / "file").write_text("not a directory\n")
+
+
+# (argv, exit code, text stderr must hold); paths are relative to _hostile_tree's root.
+HOSTILE = [
+    ("encode binary totaltext out", 1, "error: binary/a.txt"),
+    ("encode missing totaltext out", 1, "error: missing is not a directory"),
+    ("encode empty totaltext out", 0, ""),
+    ("encode gt totaltext file/out", 1, "error:"),
+    ("decode binary out", 1, "error: binary/a.msrr"),
+    ("decode missing out", 1, "error: missing is not a directory"),
+    ("decode dirs out", 0, ""),
+    ("decode nan out", 0, "cells with non-finite prob or distance"),
+    ("decode empty out", 0, ""),
+    ("decode nan file/out", 1, "error:"),
+    ("roundtrip binary totaltext r.txt", 1, "error:"),
+    ("roundtrip missing totaltext r.txt", 1, "error: missing is not a directory"),
+    ("roundtrip empty totaltext r.txt", 2, ""),
+    ("roundtrip gt totaltext file/r.txt", 1, "error:"),
+    ("eval binary gt totaltext", 1, "error:"),
+    ("eval dets binary totaltext", 1, "error:"),
+    ("eval missing gt totaltext", 1, "error: missing is not a directory"),
+    ("eval dets missing totaltext", 1, "error: missing is not a directory"),
+    ("eval empty empty totaltext", 0, ""),
+    ("eval dets gt totaltext --report file/r.txt", 1, "error:"),
+    ("render --gt binary/a.txt o.svg", 1, "error:"),
+    ("render --det binary/a.txt o.svg", 1, "error:"),
+    ("render --gt missing.txt o.svg", 1, "error:"),
+    ("render --det missing.txt o.svg", 1, "error:"),
+    ("render missing/o.svg", 1, "error:"),
+    ("render file/o.svg", 1, "error:"),
+    ("netplan 512 512 0", 1, "error: need at least one channel"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", HOSTILE, ids=[h[0] for h in HOSTILE])
+def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, code, err):
+    _hostile_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == code
+    assert err in captured.err
+    assert "Traceback" not in captured.err
