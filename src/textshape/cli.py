@@ -6,10 +6,10 @@ roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
 eval ``--iou-threshold --mode --report --allow-missing``.
 
 Exit status contract: 0 success; 1 for any missing, unreadable or malformed
-input, reported as one ``error:`` line on stderr; 2 for a roundtrip threshold
-failure or an argparse usage error. Every command is deterministic given its
-inputs, configuration and seed, and every output directory receives the
-serialized run configuration.
+input (a roundtrip over no annotations included), reported as one ``error:``
+line on stderr; 2 for a roundtrip threshold failure or an argparse usage
+error. Every command is deterministic given its inputs, configuration and
+seed, and every output directory receives the serialized run configuration.
 """
 
 from __future__ import annotations
@@ -173,9 +173,11 @@ def cmd_roundtrip(args) -> int:
         det_total += n_dets
         rows.extend((record.image_id, gi, iou) for gi, iou in enumerate(ious))
 
-    ious = np.array([iou for _, _, iou in rows]) if rows else np.zeros(0)
-    mean_iou = float(ious.mean()) if len(ious) else 0.0
-    min_iou = float(ious.min()) if len(ious) else 0.0
+    if not rows:
+        raise ValueError(f"no annotations in {args.gt_dir}")
+    ious = np.array([iou for _, _, iou in rows])
+    mean_iou = float(ious.mean())
+    min_iou = float(ious.min())
     lines = [f"{img},{gi},{iou:.4f}" for img, gi, iou in rows]
     lines.append(f"instances={len(rows)}")
     lines.append(f"detections={det_total}")

@@ -137,10 +137,12 @@ def boundary_points(
     """
     rows, cols = component[:, 0], component[:, 1]
     centers = pred.grid.cell_centers(rows, cols)
-    pts = centers + np.stack([pred.dist_x[rows, cols], pred.dist_y[rows, cols]], axis=1)
+    pts = np.empty_like(centers)
+    pts[:, 0] = centers[:, 0] + pred.dist_x[rows, cols]
+    pts[:, 1] = centers[:, 1] + pred.dist_y[rows, cols]
     score = float(np.clip(pred.prob[rows, cols].mean(), 0.0, 1.0))
 
-    extent = float(np.ptp(pts, axis=0).max())
+    extent = float(np.maximum(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     step = max(0.5, min(alpha, 1.0) * extent / THIN_CELLS_PER_ALPHA)
     _, first = geom.unique_rows(np.round(pts / step).astype(np.int64))
     pts = pts[np.sort(first)]

@@ -241,6 +241,16 @@ class DatasetRecord:
     clipped_vertices: int = 0
 
 
+def _read_lines(path: Path) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes are a ParseError naming it."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"not UTF-8 text: byte {byte:#04x} at offset {exc.start}",
+                         path=str(path)) from None
+
+
 def read_annotation_file(
     path: str | Path, fmt: str, image_size: tuple[int, int] | None = None
 ) -> DatasetRecord:
@@ -254,7 +264,7 @@ def read_annotation_file(
     annotations = []
     clipped = 0
     max_x = max_y = 0.0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         if not raw.strip():
             continue
         try:
@@ -367,7 +377,7 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
 def read_detections(path: str | Path) -> list[Detection]:
     path = Path(path)
     dets = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         if not raw.strip():
             continue
         parts = raw.strip().split(",")

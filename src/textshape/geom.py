@@ -445,12 +445,16 @@ def nearest_boundary_points(points, vertices) -> tuple[np.ndarray, np.ndarray]:
     Edges are treated as continuous segments. Ties within 1e-9 are broken
     toward the candidate with the smallest y, then smallest x. Returns
     (feet (M, 2), distances (M,)).
+
+    The work arrays are laid out edges x points, so every reduction runs
+    down axis 0 across the (few) edges while the (many) points stay
+    contiguous; points go in chunks to bound memory.
     """
     P = as_points(points)
     V = as_points(vertices)
     if len(V) < 3:
         raise DegenerateInputError("polygon needs at least 3 vertices")
-    ax, ay = V[:, 0], V[:, 1]
+    ax, ay = V[:, :1], V[:, 1:]
     abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
     len2 = abx * abx + aby * aby
     len2 = np.where(len2 <= 1e-300, 1.0, len2)
@@ -459,27 +463,27 @@ def nearest_boundary_points(points, vertices) -> tuple[np.ndarray, np.ndarray]:
     dist_out = np.empty(len(P))
     chunk = 16384
     for lo in range(0, len(P), chunk):
-        px, py = P[lo : lo + chunk, :1], P[lo : lo + chunk, 1:]
+        px, py = P[lo : lo + chunk, 0], P[lo : lo + chunk, 1]
         t = ((px - ax) * abx + (py - ay) * aby) / len2
         np.clip(t, 0.0, 1.0, out=t)
         fx = ax + t * abx
         fy = ay + t * aby
         d = np.hypot(px - fx, py - fy)
-        dmin = d.min(axis=1)
-        cand = d <= (dmin + EPS * np.maximum(1.0, dmin))[:, None]
-        idx = cand.argmax(axis=1)
-        tied = np.flatnonzero(cand.sum(axis=1) > 1)
+        dmin = d.min(axis=0)
+        cand = d <= dmin + EPS * np.maximum(1.0, dmin)
+        idx = cand.argmax(axis=0)
+        tied = np.flatnonzero(cand.sum(axis=0) > 1)
         if len(tied):
-            c = cand[tied]
-            gy = np.where(c, fy[tied], np.inf)
-            c &= gy <= (gy.min(axis=1) + EPS)[:, None]
-            gx = np.where(c, fx[tied], np.inf)
-            c &= gx <= (gx.min(axis=1) + EPS)[:, None]
-            idx[tied] = c.argmax(axis=1)
-        rows = np.arange(len(idx))
-        feet_out[lo : lo + chunk, 0] = fx[rows, idx]
-        feet_out[lo : lo + chunk, 1] = fy[rows, idx]
-        dist_out[lo : lo + chunk] = d[rows, idx]
+            c = cand[:, tied]
+            gy = np.where(c, fy[:, tied], np.inf)
+            c &= gy <= gy.min(axis=0) + EPS
+            gx = np.where(c, fx[:, tied], np.inf)
+            c &= gx <= gx.min(axis=0) + EPS
+            idx[tied] = c.argmax(axis=0)
+        cols = np.arange(len(idx))
+        feet_out[lo : lo + chunk, 0] = fx[idx, cols]
+        feet_out[lo : lo + chunk, 1] = fy[idx, cols]
+        dist_out[lo : lo + chunk] = d[idx, cols]
     return feet_out, dist_out
 
 

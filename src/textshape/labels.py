@@ -231,11 +231,12 @@ def _region_cells(poly: Polygon, grid: RasterGrid) -> tuple[np.ndarray, np.ndarr
     if c1 < c0 or r1 < r0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    cols, rows = np.meshgrid(np.arange(c0, c1 + 1), np.arange(r0, r1 + 1))
-    cols = cols.ravel()
-    rows = rows.ravel()
-    inside = point_in_polygon(grid.cell_centers(rows, cols), poly.vertices)
-    return rows[inside], cols[inside]
+    centers = np.empty((r1 - r0 + 1, c1 - c0 + 1, 2))
+    centers[..., 0] = (np.arange(c0, c1 + 1) + 0.5) * grid.stride
+    centers[..., 1] = (np.arange(r0, r1 + 1)[:, None] + 0.5) * grid.stride
+    inside = np.flatnonzero(point_in_polygon(centers.reshape(-1, 2), poly.vertices))
+    rows, cols = np.divmod(inside, c1 - c0 + 1)
+    return rows + r0, cols + c0
 
 
 def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaster:
@@ -250,13 +251,15 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
     """
     out = LabelRaster.zeros(grid)
     stats = EncodeStats()
-    best_dist = np.full(grid.shape, np.inf)
+    # flat views: a cell (r, c) is index r * width + c
+    mask, dist_x, dist_y = out.mask.ravel(), out.dist_x.ravel(), out.dist_y.ravel()
+    best_dist = np.full(mask.size, np.inf)
 
     for ann in annotations:
         if ann.ignore:
             stats.ignored += 1
             rows, cols = _region_cells(ann.polygon(), grid)
-            out.ignore_mask[rows, cols] = 1
+            out.ignore_mask.ravel()[rows * grid.width + cols] = 1
             continue
         stats.instances += 1
         central = central_region_polygon(ann)
@@ -266,14 +269,15 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
         centers = grid.cell_centers(rows, cols)
         feet, dist = nearest_boundary_points(centers, ann.closed_vertices())
 
-        occupied = out.mask[rows, cols] == 1
+        flat = rows * grid.width + cols
+        occupied = mask[flat] == 1
         stats.conflict_cells += int(occupied.sum())
-        claim = ~occupied | (dist < best_dist[rows, cols])
-        r, c = rows[claim], cols[claim]
-        out.mask[r, c] = 1
-        out.dist_x[r, c] = feet[claim, 0] - centers[claim, 0]
-        out.dist_y[r, c] = feet[claim, 1] - centers[claim, 1]
-        best_dist[r, c] = dist[claim]
+        claim = ~occupied | (dist < best_dist[flat])
+        f = flat[claim]
+        mask[f] = 1
+        dist_x[f] = feet[claim, 0] - centers[claim, 0]
+        dist_y[f] = feet[claim, 1] - centers[claim, 1]
+        best_dist[f] = dist[claim]
 
     stats.encoded_cells = int(out.mask.sum())
     out.stats = stats

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,94 @@ def vertex_sets_match(a, b, tol: float = 1e-9) -> bool:
             return False
         used[j] = True
     return True
+
+
+def point_major_nearest_boundary(points, vertices):
+    """Reference nearest-boundary search, laid out points x edges.
+
+    The earlier layout of ``geom.nearest_boundary_points``, kept verbatim so
+    the library's layout can be checked bit for bit against it: feet and
+    distances of the nearest point on the closed polygon, ties within 1e-9
+    broken toward the smallest y, then the smallest x.
+    """
+    eps = 1e-9
+    P = np.asarray(points, dtype=np.float64)
+    V = np.asarray(vertices, dtype=np.float64)
+    ax, ay = V[:, 0], V[:, 1]
+    abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    len2 = abx * abx + aby * aby
+    len2 = np.where(len2 <= 1e-300, 1.0, len2)
+
+    feet_out = np.empty_like(P)
+    dist_out = np.empty(len(P))
+    chunk = 16384
+    for lo in range(0, len(P), chunk):
+        px, py = P[lo : lo + chunk, :1], P[lo : lo + chunk, 1:]
+        t = ((px - ax) * abx + (py - ay) * aby) / len2
+        np.clip(t, 0.0, 1.0, out=t)
+        fx = ax + t * abx
+        fy = ay + t * aby
+        d = np.hypot(px - fx, py - fy)
+        dmin = d.min(axis=1)
+        cand = d <= (dmin + eps * np.maximum(1.0, dmin))[:, None]
+        idx = cand.argmax(axis=1)
+        tied = np.flatnonzero(cand.sum(axis=1) > 1)
+        if len(tied):
+            c = cand[tied]
+            gy = np.where(c, fy[tied], np.inf)
+            c &= gy <= (gy.min(axis=1) + eps)[:, None]
+            gx = np.where(c, fx[tied], np.inf)
+            c &= gx <= (gx.min(axis=1) + eps)[:, None]
+            idx[tied] = c.argmax(axis=1)
+        rows = np.arange(len(idx))
+        feet_out[lo : lo + chunk, 0] = fx[rows, idx]
+        feet_out[lo : lo + chunk, 1] = fy[rows, idx]
+        dist_out[lo : lo + chunk] = d[rows, idx]
+    return feet_out, dist_out
+
+
+def _array_digest(h, a) -> None:
+    a = np.ascontiguousarray(a)
+    h.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())
+
+
+def suite_digests(step: int = 1, sigmas=(0.0,)) -> dict:
+    """SHA-256 digests of encode and decode over every step-th suite instance.
+
+    Per instance: one hash over dtype, shape and bytes of the encoded mask,
+    dist_x, dist_y and ignore_mask; and per sigma one hash over
+    ``[components, rejected]`` (int64), every detection's polygon vertices
+    and the scores (float64) of ``decode`` on the perfect prediction with
+    ``add_distance_noise(sigma, seed=1000 + i)``, i being the suite index.
+    A set's digest is the SHA-256 of its per-instance hex digests joined.
+    Returns ``{"encode": hex, sigma: hex, ...}``; with step 1 these are the
+    digests CHANGES.md quotes.
+    """
+    from textshape import detect, labels
+    from textshape.synth import roundtrip_suite
+
+    per = {"encode": [], **{s: [] for s in sigmas}}
+    for i, inst in enumerate(roundtrip_suite()):
+        if i % step:
+            continue
+        grid = labels.RasterGrid.for_image(*inst.image_size, stride=1)
+        raster = labels.encode([inst.annotation], grid)
+        h = hashlib.sha256()
+        for plane in (raster.mask, raster.dist_x, raster.dist_y, raster.ignore_mask):
+            _array_digest(h, plane)
+        per["encode"].append(h.hexdigest())
+        pred = detect.PredictionRaster.from_label(raster)
+        for sigma in sigmas:
+            diag = detect.DecodeDiagnostics()
+            noisy = detect.add_distance_noise(pred, sigma, seed=1000 + i)
+            dets = detect.decode(noisy, detect.DecodeConfig(), diag)
+            h = hashlib.sha256()
+            _array_digest(h, np.array([diag.components, diag.rejected], dtype=np.int64))
+            for det in dets:
+                _array_digest(h, det.polygon.vertices)
+            _array_digest(h, np.array([det.score for det in dets], dtype=np.float64))
+            per[sigma].append(h.hexdigest())
+    return {key: hashlib.sha256("".join(hexes).encode()).hexdigest() for key, hexes in per.items()}
 
 
 @pytest.fixture

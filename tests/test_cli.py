@@ -206,6 +206,16 @@ class TestEvalCommand:
         rc = cli.main(["eval", str(det_dir), str(gt_dir), "totaltext"])
         assert rc == 1
 
+    def test_non_utf8_file_named_in_error(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        bad = det_dir / "img_a.txt"
+        bad.write_bytes(b"0.900,3,0,0,30,0,15,22.5\x80\n")
+        rc = cli.main(["eval", str(det_dir), str(gt_dir), "totaltext"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {bad}: not UTF-8 text: byte 0x80 at offset 24\n"
+
     @pytest.mark.parametrize("missing", ["det", "gt", "both"])
     def test_missing_dir_exits_one(self, gt_dir, tmp_path, capsys, missing):
         det_dir = tmp_path / "dets"
@@ -412,18 +422,18 @@ HOSTILE = [
     ("decode nan out", 0, "cells with non-finite prob or distance"),
     ("decode empty out", 0, ""),
     ("decode nan file/out", 1, "error:"),
-    ("roundtrip binary totaltext r.txt", 1, "error:"),
+    ("roundtrip binary totaltext r.txt", 1, "error: binary/a.txt: not UTF-8"),
     ("roundtrip missing totaltext r.txt", 1, "error: missing is not a directory"),
-    ("roundtrip empty totaltext r.txt", 2, ""),
+    ("roundtrip empty totaltext r.txt", 1, "error: no annotations in empty"),
     ("roundtrip gt totaltext file/r.txt", 1, "error:"),
-    ("eval binary gt totaltext", 1, "error:"),
-    ("eval dets binary totaltext", 1, "error:"),
+    ("eval binary gt totaltext", 1, "error: binary/a.txt: not UTF-8"),
+    ("eval dets binary totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval missing gt totaltext", 1, "error: missing is not a directory"),
     ("eval dets missing totaltext", 1, "error: missing is not a directory"),
     ("eval empty empty totaltext", 0, ""),
     ("eval dets gt totaltext --report file/r.txt", 1, "error:"),
-    ("render --gt binary/a.txt o.svg", 1, "error:"),
-    ("render --det binary/a.txt o.svg", 1, "error:"),
+    ("render --gt binary/a.txt o.svg", 1, "error: binary/a.txt: not UTF-8"),
+    ("render --det binary/a.txt o.svg", 1, "error: binary/a.txt: not UTF-8"),
     ("render --gt missing.txt o.svg", 1, "error:"),
     ("render --det missing.txt o.svg", 1, "error:"),
     ("render missing/o.svg", 1, "error:"),

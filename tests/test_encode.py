@@ -3,7 +3,7 @@ import pytest
 
 from textshape import labels as enc
 from textshape.synth import arc_annotation, rect_annotation, separated_pair
-from conftest import ray_cast_inside, shoelace, vertex_sets_match
+from conftest import ray_cast_inside, shoelace, suite_digests, vertex_sets_match
 
 RECT_RING = [(0, 0), (100, 0), (100, 40), (0, 40)]
 
@@ -248,3 +248,12 @@ class TestRasterGrid:
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             enc.RasterGrid(width=0, height=3, stride=1)
+
+
+def test_encode_and_clean_decode_digests_pinned():
+    # pinned with the point-major nearest-boundary search and the meshgrid
+    # region raster; a faster encode or decode must keep every byte
+    assert suite_digests(10, (0.0,)) == {
+        "encode": "a9d52287d3b601e3bce2573dc063e7c986bbdc57137b2710a1b0e26e0c14e4ab",
+        0.0: "f5de6bb5e89c58b6b5fabe18f9664f5a5a9e7f5423abaeab687c7b21b46cf0e2",
+    }

@@ -156,6 +156,13 @@ class TestAnnotationFiles:
         rec = formats.read_annotation_file(p, "totaltext")
         assert len(rec.annotations) == 2
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"0,0,10,0,10,5,0,5,caf\x80\n")
+        with pytest.raises(formats.ParseError) as err:
+            formats.read_annotation_file(p, "icdar2015")
+        assert str(err.value).startswith(f"{p}: not UTF-8 text: byte 0x80")
+
 
 def label_raster_from(rng, w=6, h=4, stride=2):
     grid = RasterGrid(width=w, height=h, stride=stride)
@@ -292,6 +299,13 @@ class TestDetectionFormat:
         with pytest.raises(formats.ParseError) as err:
             formats.read_detections(path)
         assert "bad.txt:2" in str(err.value)
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_bytes(b"0.900,3,0,0,30,0,15,22.5\n\x80\n")
+        with pytest.raises(formats.ParseError) as err:
+            formats.read_detections(path)
+        assert str(err.value).startswith(f"{path}: not UTF-8 text: byte 0x80")
 
     def test_score_and_count_validated(self, tmp_path):
         path = tmp_path / "bad2.txt"

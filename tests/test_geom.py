@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textshape import geom
-from conftest import boundary_samples, rasterize_oracle, ray_cast_inside, shoelace
+from textshape import geom, labels
+from textshape.synth import arc_annotation, roundtrip_suite
+from conftest import (
+    boundary_samples,
+    point_major_nearest_boundary,
+    rasterize_oracle,
+    ray_cast_inside,
+    shoelace,
+)
 
 
 def circumcircle_oracle(a, b, c):
@@ -120,6 +127,37 @@ class TestNearestPoint:
         samples = boundary_samples(poly, 10**5)
         best = np.hypot(samples[:, 0] - px, samples[:, 1] - py).min()
         assert got <= best + 1e-6
+
+
+class TestNearestBoundary:
+    def test_edge_major_matches_point_major_reference(self, rng):
+        cases = []
+        for inst in roundtrip_suite()[::10]:
+            grid = labels.RasterGrid.for_image(*inst.image_size, stride=1)
+            rows, cols = labels._region_cells(labels.central_region_polygon(inst.annotation), grid)
+            cases.append((grid.cell_centers(rows, cols), inst.annotation.closed_vertices()))
+        # exact ties: on this lattice many points are equidistant from two
+        # edges, and the centre (2, 2) from all four
+        ticks = np.arange(-1.0, 5.0 + 1e-9, 0.25)
+        lattice = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        square = np.array([[0, 0], [4, 0], [4, 4], [0, 4]], dtype=float)
+        assert [2.0, 2.0] in lattice.tolist()
+        cases.append((lattice, square))
+        # more queries than one 16,384-point chunk: a finer lattice of ties,
+        # and random points around a curved ring
+        fine = np.arange(-1.0, 5.0 + 1e-9, 1 / 32)
+        cases.append((np.stack(np.meshgrid(fine, fine), axis=-1).reshape(-1, 2), square))
+        ring = arc_annotation(0, 0, 120, 40, 150).closed_vertices()
+        lo, hi = ring.min(axis=0) - 10, ring.max(axis=0) + 10
+        cases.append((lo + rng.random((40000, 2)) * (hi - lo), ring))
+
+        for pts, vertices in cases:
+            feet, dist = geom.nearest_boundary_points(pts, vertices)
+            ref_feet, ref_dist = point_major_nearest_boundary(pts, vertices)
+            assert np.array_equal(feet, ref_feet)
+            assert np.array_equal(dist, ref_dist)
+        feet, _ = geom.nearest_boundary_points([[2.0, 2.0]], square)
+        assert feet.tolist() == [[2.0, 0.0]]
 
 
 class TestNormalize:
