@@ -6,10 +6,14 @@ roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
 eval ``--iou-threshold --mode --report --allow-missing``.
 
 Exit status contract: 0 success; 1 for any missing, unreadable or malformed
-input (a roundtrip over no annotations included), reported as one ``error:``
-line on stderr; 2 for a roundtrip threshold failure or an argparse usage
-error. Every command is deterministic given its inputs, configuration and
-seed, and every output directory receives the serialized run configuration.
+input (a grid over ``labels.MAX_GRID_CELLS``, an annotation file with no
+annotations given to encode and a roundtrip over no annotations included),
+reported as one ``error:`` line on stderr, or one per failed file for encode
+and decode, that names the file once; 2 for a roundtrip threshold failure or
+an argparse usage error. Roundtrip skips annotation files with no
+annotations. Every command is deterministic given its inputs, configuration
+and seed, and every output directory receives the serialized run
+configuration.
 """
 
 from __future__ import annotations
@@ -109,11 +113,17 @@ def cmd_encode(args) -> int:
     written = instances = conflicts = 0
     cfg.dump(out_dir)
     for path in files:
-        try:
+        try:   # the reader's errors already name the file
             record = formats.read_annotation_file(path, args.format)
+        except INPUT_ERRORS as exc:
+            failures.append(str(exc))
+            continue
+        try:
+            if not record.annotations:
+                raise ValueError("no annotations, image size unknown")
             grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
             raster = encode(record.annotations, grid)
-        except INPUT_ERRORS as exc:
+        except ValueError as exc:
             failures.append(f"{path}: {exc}")
             continue
         formats.write_raster(out_dir / f"{record.image_id}.msrr", raster)
@@ -165,10 +175,15 @@ def cmd_roundtrip(args) -> int:
     gt_total = det_total = 0
     for path in _files(Path(args.gt_dir), "*.txt"):
         record = formats.read_annotation_file(path, args.format)
-        grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
-        ious, n_dets = evaluate.roundtrip(
-            record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
-        )
+        if not record.annotations:   # no instances to score, and no image size
+            continue
+        try:
+            grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
+            ious, n_dets = evaluate.roundtrip(
+                record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         gt_total += len(ious)
         det_total += n_dets
         rows.extend((record.image_id, gi, iou) for gi, iou in enumerate(ious))

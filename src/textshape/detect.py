@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import geom
 from .labels import LabelRaster, RasterGrid
@@ -105,6 +104,8 @@ def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
     Sorted by size descending (label order breaks ties); components smaller
     than min_cells are dropped.
     """
+    from scipy import ndimage   # loaded on first decode, not at import
+
     labels, count = ndimage.label(mask, structure=FOUR_CONNECTED)
     comps = []
     for lab in range(1, count + 1):

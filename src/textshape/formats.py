@@ -324,23 +324,28 @@ def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
     Label masks come back as uint8, as encode makes them; a mask plane with
     a value other than 0 or 1 is a RasterFormatError.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < 24 or blob[:4] != MSRR_MAGIC:
-        raise RasterFormatError(f"{path}: not an MSRR file")
-    version, width, height, stride, channels = struct.unpack("<5I", blob[4:24])
-    if version != MSRR_VERSION:
-        raise RasterFormatError(f"{path}: unsupported MSRR version {version}")
-    expected = 24 + channels * width * height * 4
-    if len(blob) != expected:
-        raise RasterFormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {len(blob)}"
-        )
-    if width < 1 or height < 1 or stride < 1:
-        raise RasterFormatError(f"{path}: bad dimensions {width}x{height} stride {stride}")
-    grid = RasterGrid(width=width, height=height, stride=stride)
-    planes = []
-    off = 24
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 24 or header[:4] != MSRR_MAGIC:
+            raise RasterFormatError(f"{path}: not an MSRR file")
+        version, width, height, stride, channels = struct.unpack("<5I", header[4:])
+        if version != MSRR_VERSION:
+            raise RasterFormatError(f"{path}: unsupported MSRR version {version}")
+        if width < 1 or height < 1 or stride < 1:
+            raise RasterFormatError(f"{path}: bad dimensions {width}x{height} stride {stride}")
+        try:   # the cell budget, checked before the payload is read
+            grid = RasterGrid(width=width, height=height, stride=stride)
+        except ValueError as exc:
+            raise RasterFormatError(f"{path}: {exc}") from None
+        blob = fh.read()
     size = width * height * 4
+    if len(blob) != channels * size:
+        raise RasterFormatError(
+            f"{path}: truncated payload, expected {24 + channels * size} bytes, "
+            f"got {24 + len(blob)}"
+        )
+    planes = []
+    off = 0
     for _ in range(channels):
         planes.append(
             np.frombuffer(blob[off : off + size], dtype="<f4").reshape(height, width).copy()

@@ -13,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay as _Delaunay
-from scipy.spatial import QhullError
 
 EPS = 1e-9
 
@@ -193,6 +189,8 @@ def _delaunay_raw(
     near-degenerate slivers are filtered out below. Degeneracy is checked
     explicitly beforehand because joggling would mask it.
     """
+    from scipy.spatial import Delaunay, QhullError   # loaded on first decode, not at import
+
     pts, _ = unique_rows(as_points(points))
     if len(pts) < 3:
         raise DegenerateInputError("need at least 3 distinct points")
@@ -201,7 +199,7 @@ def _delaunay_raw(
     if len(pts) == 3:
         joggle = False   # QJ needs 4+ points for its initial simplex
     try:
-        tess = _Delaunay(pts, qhull_options="QJ" if joggle else None)
+        tess = Delaunay(pts, qhull_options="QJ" if joggle else None)
     except QhullError as exc:
         raise DegenerateInputError(f"degenerate point set: {exc}") from exc
     simplices = tess.simplices.copy()
@@ -251,6 +249,9 @@ def _largest_component(simplices: np.ndarray, areas: np.ndarray) -> np.ndarray:
     a triangulation belongs to at most two triangles, so matching sorted
     edge keys pairwise is enough.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(simplices)
     edges = _directed_edges(simplices).astype(np.int64)
     keys = edges.min(axis=1) * (int(edges.max()) + 1) + edges.max(axis=1)

@@ -27,6 +27,11 @@ from .geom import (
 )
 
 SHRINK = 0.25
+# Largest grid (width * height cells) a RasterGrid may describe, about
+# 5,800 x 5,800. Encode keeps ~26 bytes per cell (two float64 distance
+# planes, its float64 best distance and two uint8 masks), so this caps one
+# encode near 0.9 GB whatever extent an annotation file claims.
+MAX_GRID_CELLS = 2**25
 
 
 class MalformedAnnotationError(ValueError):
@@ -165,6 +170,11 @@ class RasterGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.stride < 1:
             raise ValueError("grid dimensions and stride must be positive")
+        if self.width * self.height > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid {self.width}x{self.height} exceeds the budget of "
+                f"{MAX_GRID_CELLS} cells"
+            )
 
     @classmethod
     def for_image(cls, image_w: int, image_h: int, stride: int = 1) -> "RasterGrid":

@@ -1,11 +1,12 @@
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from textshape import cli, formats
-from textshape.labels import RasterGrid
+from textshape.labels import MAX_GRID_CELLS, RasterGrid
 from textshape.synth import rect_annotation, arc_annotation
 import textshape as ts
 
@@ -60,6 +61,30 @@ class TestEncodeCommand:
 
     def test_missing_dir(self, tmp_path):
         assert cli.main(["encode", str(tmp_path / "nope"), "totaltext", str(tmp_path / "o")]) == 1
+
+    def test_each_error_names_its_file_once(self, gt_dir, tmp_path, capsys):
+        bad = {
+            "img_bad.txt": b"4,0,0,oops\n",
+            "img_binary.txt": b"4,0,0,\x80\n",
+            "img_empty.txt": b"",
+            "img_huge.txt": b"4,0,0,3000000,0,3000000,3000000,0,3000000\n",
+        }
+        for name, data in bad.items():
+            (gt_dir / name).write_bytes(data)
+        out = tmp_path / "labels"
+        rc = cli.main(["encode", str(gt_dir), "totaltext", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(lines) == len(bad)
+        for line, (name, _) in zip(lines, sorted(bad.items())):
+            path = str(gt_dir / name)
+            assert line.startswith(f"error: {path}:")
+            assert line.count(path) == 1
+        assert lines[0].endswith("img_bad.txt:1: expected 8 coordinates for n=4, got 3")
+        assert lines[1].endswith("img_binary.txt: not UTF-8 text: byte 0x80 at offset 6")
+        assert lines[2].endswith("img_empty.txt: no annotations, image size unknown")
+        assert "img_huge.txt: grid 3000000x3000000 exceeds the budget" in lines[3]
+        assert len(list(out.glob("*.msrr"))) == 3
 
 
 class TestDecodeCommand:
@@ -128,6 +153,14 @@ class TestRoundtripCommand:
         assert "mean_iou=" in text and "min_iou=" in text
         assert "count_preserved=1" in text
         assert (report.parent / "run_config.json").exists()
+
+    def test_file_without_annotations_skipped(self, gt_dir, tmp_path):
+        full = tmp_path / "full.txt"
+        assert cli.main(["roundtrip", str(gt_dir), "totaltext", str(full)]) == 0
+        (gt_dir / "img_0.txt").write_text("\n")
+        report = tmp_path / "roundtrip.txt"
+        assert cli.main(["roundtrip", str(gt_dir), "totaltext", str(report)]) == 0
+        assert report.read_text() == full.read_text()
 
     def test_unreachable_threshold_fails(self, gt_dir, tmp_path):
         report = tmp_path / "roundtrip.txt"
@@ -408,6 +441,14 @@ def _hostile_tree(root):
         PredictionRaster(grid=grid, prob=prob, dist_x=dist_x, dist_y=label.dist_y),
     )
     (root / "file").write_text("not a directory\n")
+    (root / "huge").mkdir()   # a 3e6 px extent: a 9e12-cell grid
+    (root / "huge" / "a.txt").write_text("0,0,3000000,0,3000000,3000000,0,3000000\n")
+    (root / "blank").mkdir()   # one annotated file, one with no annotations
+    formats.write_annotation_file(root / "blank" / "a.txt", [rect_annotation(10, 10, 120, 40)],
+                                  "totaltext")
+    (root / "blank" / "b.txt").write_text("")
+    (root / "blanks").mkdir()
+    (root / "blanks" / "b.txt").write_text("\n")
 
 
 # (argv, exit code, text stderr must hold); paths are relative to _hostile_tree's root.
@@ -416,6 +457,9 @@ HOSTILE = [
     ("encode missing totaltext out", 1, "error: missing is not a directory"),
     ("encode empty totaltext out", 0, ""),
     ("encode gt totaltext file/out", 1, "error:"),
+    ("encode huge ctw1500 out", 1,
+     f"error: huge/a.txt: grid 3000000x3000000 exceeds the budget of {MAX_GRID_CELLS} cells"),
+    ("encode blank totaltext out", 1, "error: blank/b.txt: no annotations, image size unknown"),
     ("decode binary out", 1, "error: binary/a.msrr"),
     ("decode missing out", 1, "error: missing is not a directory"),
     ("decode dirs out", 0, ""),
@@ -426,6 +470,9 @@ HOSTILE = [
     ("roundtrip missing totaltext r.txt", 1, "error: missing is not a directory"),
     ("roundtrip empty totaltext r.txt", 1, "error: no annotations in empty"),
     ("roundtrip gt totaltext file/r.txt", 1, "error:"),
+    ("roundtrip huge ctw1500 r.txt", 1, "error: huge/a.txt: grid 3000000x3000000 exceeds"),
+    ("roundtrip blank totaltext r.txt", 0, ""),
+    ("roundtrip blanks totaltext r.txt", 1, "error: no annotations in blanks"),
     ("eval binary gt totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval dets binary totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval missing gt totaltext", 1, "error: missing is not a directory"),
@@ -446,8 +493,14 @@ HOSTILE = [
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, code, err):
     _hostile_tree(tmp_path)
     monkeypatch.chdir(tmp_path)
-    rc = cli.main(argv.split())
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert rc == code
     assert err in captured.err
     assert "Traceback" not in captured.err
+    assert peak < 64 * 2**20   # no input sizes an allocation by its claims

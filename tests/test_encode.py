@@ -249,6 +249,17 @@ class TestRasterGrid:
         with pytest.raises(ValueError):
             enc.RasterGrid(width=0, height=3, stride=1)
 
+    def test_cell_budget(self):
+        budget = enc.MAX_GRID_CELLS
+        assert budget >= 4096 * 4096
+        enc.RasterGrid(width=budget, height=1)   # a grid allocates nothing itself
+        enc.RasterGrid(width=1, height=budget)
+        msg = f"grid {budget + 1}x1 exceeds the budget of {budget} cells"
+        with pytest.raises(ValueError, match=msg):
+            enc.RasterGrid(width=budget + 1, height=1)
+        with pytest.raises(ValueError, match="grid 3000000x3000000 exceeds"):
+            enc.RasterGrid.for_image(3_000_000, 3_000_000)
+
 
 def test_encode_and_clean_decode_digests_pinned():
     # pinned with the point-major nearest-boundary search and the meshgrid

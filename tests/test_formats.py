@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from textshape import formats
 from textshape.detect import Detection, PredictionRaster
 from textshape.geom import Polygon
-from textshape.labels import AnnotationPolygon, LabelRaster, RasterGrid, encode
+from textshape.labels import MAX_GRID_CELLS, AnnotationPolygon, LabelRaster, RasterGrid, encode
 from textshape.synth import rect_annotation
 
 
@@ -259,6 +259,17 @@ class TestMsrrFormat:
         path.write_bytes(header + b"\x00" * 16)
         with pytest.raises(formats.RasterFormatError):
             formats.read_raster(path)
+
+    def test_grid_over_cell_budget(self, tmp_path):
+        # the header claims 2**26 cells; refused before the payload is read
+        header = formats.MSRR_MAGIC + struct.pack("<5I", 1, 8192, 8192, 1, 3)
+        path = tmp_path / "huge.msrr"
+        path.write_bytes(header + b"\x00" * 12)
+        with pytest.raises(formats.RasterFormatError) as err:
+            formats.read_raster(path)
+        assert str(err.value) == (
+            f"{path}: grid 8192x8192 exceeds the budget of {MAX_GRID_CELLS} cells"
+        )
 
     def test_little_endian_on_disk(self, tmp_path, rng):
         raster = label_raster_from(rng, w=1, h=1)
