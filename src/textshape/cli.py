@@ -5,11 +5,12 @@ Each subcommand takes only the flags it reads: encode ``--stride``; decode
 roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
 eval ``--iou-threshold --mode --report --allow-missing``.
 
-Exit status contract: 0 success; 1 for any missing, unreadable or malformed
-input (a grid over ``labels.MAX_GRID_CELLS``, an annotation file with no
-annotations given to encode and a roundtrip over no annotations included),
-reported as one ``error:`` line on stderr, or one per failed file for encode
-and decode, that names the file once; 2 for a roundtrip threshold failure or
+Exit status contract: 0 success; 1 for a ``--stride`` below 1 and for any
+missing, unreadable or malformed input (a grid over
+``labels.MAX_GRID_CELLS``, an annotation file with no annotations given to
+encode and a roundtrip over no annotations included), reported as one
+``error:`` line on stderr, or one per failed file for encode and decode,
+that names the flag or the file once; 2 for a roundtrip threshold failure or
 an argparse usage error. Roundtrip skips annotation files with no
 annotations. Every command is deterministic given its inputs, configuration
 and seed, and every output directory receives the serialized run
@@ -59,6 +60,8 @@ class RunConfig:
         for f in dataclasses.fields(cls):
             if hasattr(args, f.name):
                 setattr(cfg, f.name, getattr(args, f.name))
+        if cfg.stride < 1:   # before any input is read or output written
+            raise ValueError(f"--stride must be at least 1, got {cfg.stride}")
         return cfg
 
     def decode_config(self) -> DecodeConfig:

@@ -207,21 +207,18 @@ def decode(
     nonfinite = mask.astype(bool) & ~finite
     mask[nonfinite] = 0
     comps = extract_instances(mask, cfg.resolved_min_cells(pred.grid.stride))
-    if diagnostics is not None:
-        diagnostics.nonfinite = int(nonfinite.sum())
-        diagnostics.components = len(comps)
+    diag = diagnostics if diagnostics is not None else DecodeDiagnostics()
+    diag.nonfinite = int(nonfinite.sum())
+    diag.components = len(comps)
 
     dets = []
     for comp in comps:
-        if diagnostics is not None:
-            diagnostics.cells += len(comp)
+        diag.cells += len(comp)
         try:
             points = boundary_points(comp, pred, cfg.min_points, cfg.alpha)
-            if diagnostics is not None:
-                diagnostics.points += len(points.points)
+            diag.points += len(points.points)
             dets.append(reconstruct(points, cfg.alpha))
         except InstanceRejected:
-            if diagnostics is not None:
-                diagnostics.rejected += 1
+            diag.rejected += 1
     dets.sort(key=lambda d: -d.score)
     return dets

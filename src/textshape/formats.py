@@ -19,6 +19,11 @@ row-major little-endian f32. Labels use 4 channels (mask, dist_x, dist_y,
 ignore_mask); predictions use 3 (prob, dist_x, dist_y).
 
 Detections: ``score,n,x1,y1,...,xn,yn`` with three decimal places.
+
+Every coordinate and field must be finite and at most ``MAX_COORD`` in
+magnitude. The file readers skip blank lines and report the first bad line
+as a ParseError ``<path>:<line>: <message>``; a bad raster is a
+RasterFormatError ``<path>: <message>``.
 """
 
 from __future__ import annotations
@@ -38,25 +43,18 @@ from .labels import (
     RasterGrid,
     split_sides,
 )
-from .geom import Polygon, shoelace_area
+from .geom import Polygon
 
 MSRR_MAGIC = b"MSRR"
 MSRR_VERSION = 1
 ANNOTATION_FORMATS = ("ctw1500", "icdar2015", "msra_td500", "totaltext")
+# Largest accepted |coordinate|: products of two stay far from float overflow
+# in the area and orientation tests, and integers up to it print exactly.
+MAX_COORD = 1e15
 
 
 class ParseError(ValueError):
-    """Malformed input line; carries file/line context when known."""
-
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f"{path}:{line}: " if line is not None else f"{path}: "
-        elif line is not None:
-            where = f"line {line}: "
-        super().__init__(where + message)
+    """Malformed input line or text file."""
 
 
 class RasterFormatError(ValueError):
@@ -72,14 +70,15 @@ def _floats(tokens: list[str], what: str) -> list[float]:
             raise ParseError(f"non-numeric {what} {tok!r}") from None
         if not math.isfinite(v):
             raise ParseError(f"non-finite {what} {tok!r}")
+        if abs(v) > MAX_COORD:
+            raise ParseError(f"{what} {tok!r} exceeds {MAX_COORD:g} in magnitude")
         out.append(v)
     return out
 
 
-def _ring_annotation(coords: list[float]) -> AnnotationPolygon:
-    pts = np.array(coords, dtype=np.float64).reshape(-1, 2)
+def _ring_annotation(coords) -> AnnotationPolygon:
     try:
-        return split_sides(pts)
+        return split_sides(np.reshape(coords, (-1, 2)))
     except MalformedAnnotationError as exc:
         raise ParseError(str(exc)) from None
 
@@ -120,14 +119,7 @@ def parse_msra_td500(line: str) -> AnnotationPolygon:
     )
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is rejected below
-        corners = (corners - [cx, cy]) @ rot.T + [cx, cy]
-    if not np.isfinite(corners).all():
-        raise ParseError("box corners overflow to non-finite coordinates")
-    try:
-        ann = AnnotationPolygon.make(corners[:2], corners[2:][::-1])
-    except MalformedAnnotationError as exc:
-        raise ParseError(str(exc)) from None
+    ann = _ring_annotation((corners - [cx, cy]) @ rot.T + [cx, cy])
     ann.ignore = difficulty == 1
     return ann
 
@@ -167,12 +159,15 @@ _PARSERS = {
 }
 
 
-def parse_annotation_line(line: str, fmt: str) -> AnnotationPolygon:
+def _by_format(table: dict, fmt: str):
     try:
-        parser = _PARSERS[fmt]
+        return table[fmt]
     except KeyError:
         raise ValueError(f"unknown annotation format {fmt!r}") from None
-    return parser(line)
+
+
+def parse_annotation_line(line: str, fmt: str) -> AnnotationPolygon:
+    return _by_format(_PARSERS, fmt)(line)
 
 
 def _fmt_coord(v: float) -> str:
@@ -226,11 +221,7 @@ _FORMATTERS = {
 
 
 def format_annotation_line(ann: AnnotationPolygon, fmt: str) -> str:
-    try:
-        formatter = _FORMATTERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown annotation format {fmt!r}") from None
-    return formatter(ann)
+    return _by_format(_FORMATTERS, fmt)(ann)
 
 
 @dataclass
@@ -238,7 +229,6 @@ class DatasetRecord:
     image_id: str
     image_size: tuple[int, int]
     annotations: list[AnnotationPolygon] = field(default_factory=list)
-    clipped_vertices: int = 0
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -247,51 +237,34 @@ def _read_lines(path: Path) -> list[str]:
         return path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise ParseError(f"not UTF-8 text: byte {byte:#04x} at offset {exc.start}",
-                         path=str(path)) from None
+        raise ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} "
+                         f"at offset {exc.start}") from None
 
 
-def read_annotation_file(
-    path: str | Path, fmt: str, image_size: tuple[int, int] | None = None
-) -> DatasetRecord:
-    """Read one per-image annotation file.
-
-    When image_size (W, H) is given, vertices are clamped to the image
-    bounds and the number of clipped vertices recorded; otherwise the size
-    is taken from the annotation extents rounded up.
-    """
-    path = Path(path)
-    annotations = []
-    clipped = 0
-    max_x = max_y = 0.0
+def _parse_lines(path: Path, parse) -> list:
+    """``parse`` of every non-blank line; a ValueError names the file and line."""
+    out = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        try:
-            ann = parse_annotation_line(raw, fmt)
-        except ParseError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from None
-        if image_size is not None:
-            for chain in (ann.upper, ann.lower):
-                over = (chain[:, 0] < 0) | (chain[:, 0] > image_size[0]) | (
-                    chain[:, 1] < 0
-                ) | (chain[:, 1] > image_size[1])
-                clipped += int(over.sum())
-                chain[:, 0] = np.clip(chain[:, 0], 0, image_size[0])
-                chain[:, 1] = np.clip(chain[:, 1], 0, image_size[1])
-            if abs(shoelace_area(ann.closed_vertices())) <= 1e-9:
-                # Fully outside the image; clipping flattened it away.
-                continue
-        ring = ann.closed_vertices()
-        max_x = max(max_x, float(ring[:, 0].max()))
-        max_y = max(max_y, float(ring[:, 1].max()))
-        annotations.append(ann)
-    size = image_size if image_size is not None else (int(math.ceil(max_x)), int(math.ceil(max_y)))
+        if raw.strip():
+            try:
+                out.append(parse(raw))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def read_annotation_file(path: str | Path, fmt: str) -> DatasetRecord:
+    """Read one per-image annotation file; the image size is the annotation
+    extent rounded up."""
+    path = Path(path)
+    annotations = _parse_lines(path, _by_format(_PARSERS, fmt))
+    extent = np.zeros(2)
+    for ann in annotations:
+        extent = np.maximum(extent, ann.closed_vertices().max(axis=0))
     return DatasetRecord(
         image_id=path.stem,
-        image_size=size,
+        image_size=(math.ceil(extent[0]), math.ceil(extent[1])),
         annotations=annotations,
-        clipped_vertices=clipped,
     )
 
 
@@ -324,25 +297,28 @@ def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
     Label masks come back as uint8, as encode makes them; a mask plane with
     a value other than 0 or 1 is a RasterFormatError.
     """
+    try:
+        return _read_raster(path)
+    except ValueError as exc:   # the grid's own checks included
+        raise RasterFormatError(f"{path}: {exc}") from None
+
+
+def _read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
     with open(path, "rb") as fh:
         header = fh.read(24)
         if len(header) < 24 or header[:4] != MSRR_MAGIC:
-            raise RasterFormatError(f"{path}: not an MSRR file")
+            raise RasterFormatError("not an MSRR file")
         version, width, height, stride, channels = struct.unpack("<5I", header[4:])
         if version != MSRR_VERSION:
-            raise RasterFormatError(f"{path}: unsupported MSRR version {version}")
+            raise RasterFormatError(f"unsupported MSRR version {version}")
         if width < 1 or height < 1 or stride < 1:
-            raise RasterFormatError(f"{path}: bad dimensions {width}x{height} stride {stride}")
-        try:   # the cell budget, checked before the payload is read
-            grid = RasterGrid(width=width, height=height, stride=stride)
-        except ValueError as exc:
-            raise RasterFormatError(f"{path}: {exc}") from None
+            raise RasterFormatError(f"bad dimensions {width}x{height} stride {stride}")
+        grid = RasterGrid(width=width, height=height, stride=stride)   # the cell budget
         blob = fh.read()
     size = width * height * 4
     if len(blob) != channels * size:
         raise RasterFormatError(
-            f"{path}: truncated payload, expected {24 + channels * size} bytes, "
-            f"got {24 + len(blob)}"
+            f"truncated payload, expected {24 + channels * size} bytes, got {24 + len(blob)}"
         )
     planes = []
     off = 0
@@ -355,7 +331,7 @@ def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         flags = []
         for plane in (planes[0], planes[3]):
             if not np.isin(plane, (0.0, 1.0)).all():
-                raise RasterFormatError(f"{path}: label mask holds a value other than 0 or 1")
+                raise RasterFormatError("label mask holds a value other than 0 or 1")
             flags.append(plane.astype(np.uint8))
         return LabelRaster(
             grid=grid,
@@ -366,7 +342,7 @@ def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         )
     if channels == 3:
         return PredictionRaster(grid=grid, prob=planes[0], dist_x=planes[1], dist_y=planes[2])
-    raise RasterFormatError(f"{path}: unsupported channel count {channels}")
+    raise RasterFormatError(f"unsupported channel count {channels}")
 
 
 def write_detections(path: str | Path, detections: list[Detection]) -> None:
@@ -379,39 +355,22 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines))
 
 
+def _parse_detection(line: str) -> Detection:
+    parts = line.strip().split(",")
+    if len(parts) < 2:
+        raise ParseError("expected score,n,coords")
+    try:
+        score = float(parts[0])
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad score/count {parts[:2]!r}") from None
+    if not (0.0 <= score <= 1.0) or n < 3:
+        raise ParseError(f"score {score} outside [0,1] or n={n} < 3")
+    if len(parts) != 2 + 2 * n:
+        raise ParseError(f"expected {2 * n} coordinates for n={n}, got {len(parts) - 2}")
+    coords = _floats(parts[2:], "coordinate")
+    return Detection(polygon=Polygon.make(np.reshape(coords, (-1, 2))), score=score)
+
+
 def read_detections(path: str | Path) -> list[Detection]:
-    path = Path(path)
-    dets = []
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.strip().split(",")
-        if len(parts) < 2:
-            raise ParseError("expected score,n,coords", path=str(path), line=lineno)
-        try:
-            score = float(parts[0])
-            n = int(parts[1])
-        except ValueError:
-            raise ParseError(
-                f"bad score/count {parts[:2]!r}", path=str(path), line=lineno
-            ) from None
-        if not (0.0 <= score <= 1.0) or n < 3:
-            raise ParseError(
-                f"score {score} outside [0,1] or n={n} < 3", path=str(path), line=lineno
-            )
-        if len(parts) != 2 + 2 * n:
-            raise ParseError(
-                f"expected {2 * n} coordinates for n={n}, got {len(parts) - 2}",
-                path=str(path),
-                line=lineno,
-            )
-        try:
-            coords = _floats(parts[2:], "coordinate")
-        except ParseError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from None
-        try:
-            poly = Polygon.make(np.array(coords).reshape(-1, 2))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from None
-        dets.append(Detection(polygon=poly, score=score))
-    return dets
+    return _parse_lines(Path(path), _parse_detection)

@@ -49,7 +49,6 @@ class AnnotationPolygon:
     upper: np.ndarray
     lower: np.ndarray
     ignore: bool = False
-    source_vertex_count: int = 0
 
     @classmethod
     def make(cls, upper, lower, ignore: bool = False) -> "AnnotationPolygon":
@@ -57,7 +56,7 @@ class AnnotationPolygon:
         low = drop_repeats(as_points(lower))
         if len(up) < 2 or len(low) < 2:
             raise MalformedAnnotationError("each chain needs at least 2 distinct vertices")
-        ann = cls(up, low, ignore=ignore, source_vertex_count=len(up) + len(low))
+        ann = cls(up, low, ignore=ignore)
         ring = ann.closed_vertices()
         if abs(shoelace_area(ring)) <= 1e-9:
             raise MalformedAnnotationError("annotation polygon has zero area")
@@ -178,9 +177,10 @@ class RasterGrid:
 
     @classmethod
     def for_image(cls, image_w: int, image_h: int, stride: int = 1) -> "RasterGrid":
+        step = max(stride, 1)   # a stride below 1 reaches __post_init__, which rejects it
         return cls(
-            width=-(-int(image_w) // stride),
-            height=-(-int(image_h) // stride),
+            width=-(-int(image_w) // step),
+            height=-(-int(image_h) // step),
             stride=stride,
         )
 
@@ -198,8 +198,6 @@ class RasterGrid:
 @dataclass
 class EncodeStats:
     instances: int = 0
-    ignored: int = 0
-    encoded_cells: int = 0
     conflict_cells: int = 0
 
 
@@ -267,7 +265,6 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
 
     for ann in annotations:
         if ann.ignore:
-            stats.ignored += 1
             rows, cols = _region_cells(ann.polygon(), grid)
             out.ignore_mask.ravel()[rows * grid.width + cols] = 1
             continue
@@ -289,6 +286,5 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
         dist_y[f] = feet[claim, 1] - centers[claim, 1]
         best_dist[f] = dist[claim]
 
-    stats.encoded_cells = int(out.mask.sum())
     out.stats = stats
     return out

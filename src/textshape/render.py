@@ -25,7 +25,6 @@ def _path(vertices) -> str:
 def render_svg(
     ground_truth: list[AnnotationPolygon],
     detections: list[Detection],
-    size: tuple[int, int] | None = None,
     with_quads: bool = False,
 ) -> str:
     """Compose the SVG document as a string.
@@ -47,12 +46,10 @@ def render_svg(
         if with_quads:
             groups["quad"].append(_path(min_area_rect(det.polygon).vertices))
 
-    if size is None:
-        size = (int(max_x + 2), int(max_y + 2))
+    w, h = int(max_x + 2), int(max_y + 2)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size[0]}" height="{size[1]}" '
-        f'viewBox="0 0 {size[0]} {size[1]}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
     ]
     for layer, color, key in _LAYERS:
         if key == "quad" and not with_quads:

@@ -413,6 +413,17 @@ class TestFlags:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["encode", "roundtrip"])
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_bad_stride_reads_and_writes_nothing(self, gt_dir, tmp_path, capsys, command, stride):
+        (gt_dir / "img_bad.txt").write_bytes(b"\x80\n")   # an error of its own, if it were read
+        out = tmp_path / "o"
+        target = out if command == "encode" else out / "r.txt"
+        rc = cli.main([command, str(gt_dir), "totaltext", str(target), "--stride", stride])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --stride must be at least 1, got {stride}\n"
+        assert not out.exists()
+
 
 def _hostile_tree(root):
     """Inputs no subcommand may answer with a traceback, under ``root``."""
@@ -449,6 +460,10 @@ def _hostile_tree(root):
     (root / "blank" / "b.txt").write_text("")
     (root / "blanks").mkdir()
     (root / "blanks" / "b.txt").write_text("\n")
+    (root / "big").mkdir()   # finite coordinates whose products overflow
+    (root / "big" / "a.txt").write_text("0,0,1e200,0,1e200,1e200,0,1e200\n")
+    (root / "bigdet").mkdir()
+    (root / "bigdet" / "a.txt").write_text("0.5,3,0,0,1e200,0,0,1e200\n")
 
 
 # (argv, exit code, text stderr must hold); paths are relative to _hostile_tree's root.
@@ -460,6 +475,9 @@ HOSTILE = [
     ("encode huge ctw1500 out", 1,
      f"error: huge/a.txt: grid 3000000x3000000 exceeds the budget of {MAX_GRID_CELLS} cells"),
     ("encode blank totaltext out", 1, "error: blank/b.txt: no annotations, image size unknown"),
+    ("encode gt totaltext out --stride 0", 1, "error: --stride must be at least 1, got 0"),
+    ("encode gt totaltext out --stride -1", 1, "error: --stride must be at least 1, got -1"),
+    ("encode big ctw1500 out", 1, "error: big/a.txt:1: coordinate '1e200' exceeds 1e+15"),
     ("decode binary out", 1, "error: binary/a.msrr"),
     ("decode missing out", 1, "error: missing is not a directory"),
     ("decode dirs out", 0, ""),
@@ -473,16 +491,21 @@ HOSTILE = [
     ("roundtrip huge ctw1500 r.txt", 1, "error: huge/a.txt: grid 3000000x3000000 exceeds"),
     ("roundtrip blank totaltext r.txt", 0, ""),
     ("roundtrip blanks totaltext r.txt", 1, "error: no annotations in blanks"),
+    ("roundtrip gt totaltext r.txt --stride 0", 1, "error: --stride must be at least 1, got 0"),
+    ("roundtrip gt totaltext r.txt --stride -1", 1, "error: --stride must be at least 1, got -1"),
     ("eval binary gt totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval dets binary totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval missing gt totaltext", 1, "error: missing is not a directory"),
     ("eval dets missing totaltext", 1, "error: missing is not a directory"),
     ("eval empty empty totaltext", 0, ""),
+    ("eval bigdet gt totaltext", 1, "error: bigdet/a.txt:1: coordinate '1e200' exceeds 1e+15"),
     ("eval dets gt totaltext --report file/r.txt", 1, "error:"),
     ("render --gt binary/a.txt o.svg", 1, "error: binary/a.txt: not UTF-8"),
     ("render --det binary/a.txt o.svg", 1, "error: binary/a.txt: not UTF-8"),
     ("render --gt missing.txt o.svg", 1, "error:"),
     ("render --det missing.txt o.svg", 1, "error:"),
+    ("render --gt big/a.txt --format ctw1500 o.svg", 1,
+     "error: big/a.txt:1: coordinate '1e200' exceeds 1e+15"),
     ("render missing/o.svg", 1, "error:"),
     ("render file/o.svg", 1, "error:"),
     ("netplan 512 512 0", 1, "error: need at least one channel"),
@@ -502,5 +525,6 @@ def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, code, 
     captured = capsys.readouterr()
     assert rc == code
     assert err in captured.err
+    assert captured.err.count("error:") == (1 if code == 1 else 0)
     assert "Traceback" not in captured.err
     assert peak < 64 * 2**20   # no input sizes an allocation by its claims

@@ -37,7 +37,7 @@ class TestSplitSides:
         ring += [(x, 40 + 2 * np.sin(x / 40)) for x in xs[::-1]]
         ann = enc.split_sides(ring)
         assert len(ann.upper) == 7 and len(ann.lower) == 7
-        assert ann.source_vertex_count == 14
+        assert len(ann.upper) + len(ann.lower) == 14
 
     def test_six_vertex_arc(self):
         ring = [(0, 0), (50, -8), (100, 0), (100, 30), (50, 22), (0, 30)]
@@ -248,6 +248,11 @@ class TestRasterGrid:
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             enc.RasterGrid(width=0, height=3, stride=1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_for_image_rejects_stride_below_one(self, stride):
+        with pytest.raises(ValueError, match="^grid dimensions and stride must be positive$"):
+            enc.RasterGrid.for_image(100, 40, stride)
 
     def test_cell_budget(self):
         budget = enc.MAX_GRID_CELLS

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from textshape import formats
 from textshape.detect import Detection, PredictionRaster
-from textshape.geom import Polygon
+from textshape.geom import Polygon, shoelace_area
 from textshape.labels import MAX_GRID_CELLS, AnnotationPolygon, LabelRaster, RasterGrid, encode
 from textshape.synth import rect_annotation
 
@@ -133,21 +133,49 @@ class TestRoundTrips:
             assert formats.format_annotation_line(second, fmt) == text
 
 
+# (reader format, malformed line, message): detection lines use the format "det".
+BAD_LINES = [
+    ("ctw1500", "0,0,9,0,9,9,x,9", "non-numeric coordinate 'x'"),
+    ("icdar2015", "0,0,0,0,0,0,0,0,t", "each chain needs at least 2 distinct vertices"),
+    ("msra_td500", "0 0 10 20 -1 40 0", "non-positive box size -1.0x40.0"),
+    ("totaltext", "4,0,0,30,0,30,12,0,12,2", "bad ignore flag '2'"),
+    ("det", "x", "expected score,n,coords"),
+    ("det", "0.5,q,1", "bad score/count ['0.5', 'q']"),
+    ("det", "1.5,3,0,0,30,0,15,22.5", "score 1.5 outside [0,1] or n=3 < 3"),
+    ("det", "0.5,3,0,0,30,0", "expected 6 coordinates for n=3, got 4"),
+    ("det", "0.5,3,0,0,30,0,15,nan", "non-finite coordinate 'nan'"),
+    ("det", "0.5,3,0,0,10,0,20,0", "polygon has zero area"),
+]
+
+
+def read_file(path, fmt):
+    if fmt == "det":
+        return formats.read_detections(path)
+    return formats.read_annotation_file(path, fmt)
+
+
 class TestAnnotationFiles:
+    @pytest.mark.parametrize("fmt,line,message", BAD_LINES,
+                             ids=[f"{fmt}-{msg}" for fmt, _, msg in BAD_LINES])
+    def test_bad_line_named_by_path_and_line(self, tmp_path, fmt, line, message):
+        p = tmp_path / "in.txt"
+        p.write_text("\n" + line + "\n")
+        with pytest.raises(formats.ParseError) as err:
+            read_file(p, fmt)
+        assert str(err.value) == f"{p}:2: {message}"
+
+    def test_unknown_format_raises_on_empty_file(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        with pytest.raises(ValueError, match="unknown annotation format 'bogus'"):
+            formats.read_annotation_file(p, "bogus")
+
     def test_read_file_with_line_numbers(self, tmp_path):
         p = tmp_path / "img1.txt"
         p.write_text("0,0,10,0,10,5,0,5,ok\nbroken line\n")
         with pytest.raises(formats.ParseError) as err:
             formats.read_annotation_file(p, "icdar2015")
         assert "img1.txt:2" in str(err.value)
-
-    def test_clipping_diagnostic(self, tmp_path):
-        p = tmp_path / "img2.txt"
-        p.write_text("-5,0,50,0,50,20,-5,20,txt\n")
-        rec = formats.read_annotation_file(p, "icdar2015", image_size=(40, 30))
-        assert rec.clipped_vertices > 0
-        ring = rec.annotations[0].closed_vertices()
-        assert ring[:, 0].min() >= 0 and ring[:, 0].max() <= 40
 
     def test_write_then_read(self, tmp_path):
         anns = [rect_annotation(0, 0, 60, 20), rect_annotation(0, 40, 80, 22)]
@@ -325,6 +353,23 @@ class TestDetectionFormat:
             formats.read_detections(path)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def ring_text(fmt, v):
+    """One line in ``fmt`` carrying the finite values ``v`` (8 of them)."""
+    coords = ",".join(repr(x) for x in v)
+    if fmt == "msra_td500":
+        return " ".join(repr(x) for x in v[1:])
+    if fmt == "icdar2015":
+        return coords + ",t"
+    if fmt == "totaltext":
+        return "4," + coords
+    if fmt == "det":
+        return "0.5,4," + coords
+    return coords
+
+
 LINE_CHARS = st.text(
     alphabet=st.sampled_from(list("0123456789,.-+eE# \tabcxyz")), max_size=64
 )
@@ -340,6 +385,25 @@ class TestFuzz:
                 assert isinstance(ann, AnnotationPolygon)
             except formats.ParseError:
                 pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(formats.ANNOTATION_FORMATS) + ["det"]),
+           st.lists(FINITE, min_size=8, max_size=8))
+    def test_finite_values_parse_to_finite_area_or_parse_error(self, tmp_path_factory, fmt, v):
+        path = tmp_path_factory.getbasetemp() / "finite_fuzz.txt"
+        path.write_text(ring_text(fmt, v) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = read_file(path, fmt)
+            except formats.ParseError:
+                return
+        if fmt == "det":
+            (ring,) = [d.polygon.vertices for d in got]
+        else:
+            (ring,) = [a.closed_vertices() for a in got.annotations]
+        area = shoelace_area(ring)
+        assert np.isfinite(area) and area != 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=48))
