@@ -5,8 +5,9 @@ Each subcommand takes only the flags it reads: encode ``--stride``; decode
 roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
 eval ``--iou-threshold --mode --report --allow-missing``.
 
-Exit status contract: 0 success; 1 for a ``--stride`` below 1 and for any
-missing, unreadable or malformed input (a grid over
+Exit status contract: 0 success; 1 for a setting ``RunConfig`` rejects (a
+``--stride`` below 1, ``--alpha`` or ``--prob-threshold`` out of range) and
+for any missing, unreadable or malformed input (a grid over
 ``labels.MAX_GRID_CELLS``, an annotation file with no annotations given to
 encode and a roundtrip over no annotations included), reported as one
 ``error:`` line on stderr, or one per failed file for encode and decode,
@@ -14,7 +15,7 @@ that names the flag or the file once; 2 for a roundtrip threshold failure or
 an argparse usage error. Roundtrip skips annotation files with no
 annotations. Every command is deterministic given its inputs, configuration
 and seed, and every output directory receives the serialized run
-configuration.
+configuration; eval writes only under ``--report``.
 """
 
 from __future__ import annotations
@@ -41,36 +42,22 @@ INPUT_ERRORS = (ValueError, OSError)
 
 
 @dataclass
-class RunConfig:
+class RunConfig(DecodeConfig):
     """Every CLI setting; the flags and run_config.json take their defaults from here."""
 
     stride: int = 1
-    alpha: float = DecodeConfig.alpha
-    prob_threshold: float = DecodeConfig.prob_threshold
     iou_threshold: float = 0.5
     mode: str = "polygon"
-    min_points: int = DecodeConfig.min_points
-    min_cells: int | None = DecodeConfig.min_cells
     seed: int = 0
     noise_sigma: float = 0.0
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        for f in dataclasses.fields(cls):
-            if hasattr(args, f.name):
-                setattr(cfg, f.name, getattr(args, f.name))
+        cfg = cls(**{f.name: getattr(args, f.name)
+                     for f in dataclasses.fields(cls) if hasattr(args, f.name)})
         if cfg.stride < 1:   # before any input is read or output written
             raise ValueError(f"--stride must be at least 1, got {cfg.stride}")
         return cfg
-
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            prob_threshold=self.prob_threshold,
-            alpha=self.alpha,
-            min_points=self.min_points,
-            min_cells=self.min_cells,
-        )
 
     def dump(self, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
@@ -159,7 +146,7 @@ def cmd_decode(args) -> int:
         )
         pred = add_distance_noise(pred, cfg.noise_sigma, cfg.seed)
         diag = DecodeDiagnostics()
-        dets = decode(pred, cfg.decode_config(), diag)
+        dets = decode(pred, cfg, diag)
         if diag.nonfinite:
             print(f"warning: {path}: dropped {diag.nonfinite} cells with non-finite "
                   "prob or distance", file=sys.stderr)
@@ -183,7 +170,7 @@ def cmd_roundtrip(args) -> int:
         try:
             grid = RasterGrid.for_image(*record.image_size, stride=cfg.stride)
             ious, n_dets = evaluate.roundtrip(
-                record.annotations, grid, cfg.decode_config(), cfg.noise_sigma, cfg.seed
+                record.annotations, grid, cfg, cfg.noise_sigma, cfg.seed
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -213,8 +200,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = RunConfig.from_args(args)
-    det_dir = Path(args.det_dir)
-    dets = {p.stem: formats.read_detections(p) for p in _files(det_dir, "*.txt")}
+    dets = {p.stem: formats.read_detections(p) for p in _files(Path(args.det_dir), "*.txt")}
     gts = {
         p.stem: formats.read_annotation_file(p, args.format).annotations
         for p in _files(Path(args.gt_dir), "*.txt")
@@ -226,11 +212,11 @@ def cmd_eval(args) -> int:
         mode=cfg.mode,
         allow_missing=args.allow_missing,
     )
-    for line in evaluate.report_lines(report.overall):
-        print(line)
-    out = Path(args.report) if args.report else det_dir / "eval_report.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = evaluate.report_lines(report.overall)
+    for line in lines:
+        print(line)
+    if not args.report:
+        return EXIT_OK
     for image_id, rep in sorted(report.per_image.items()):
         lines.append(
             f"image {image_id}: tp={rep.tp} fp={rep.fp} fn={rep.fn} "
@@ -240,6 +226,8 @@ def cmd_eval(args) -> int:
         lines.append(f"missing detections: {image_id}")
     for image_id in report.missing_ground_truth:
         lines.append(f"missing ground truth: {image_id}")
+    out = Path(args.report)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(line + "\n" for line in lines))
     cfg.dump(out.parent)
     return EXIT_OK

@@ -32,6 +32,13 @@ class DecodeConfig:
     min_points: int = 8
     min_cells: int | None = None   # None: auto from stride, 64 cells at stride 1
 
+    def __post_init__(self):
+        # checked here, so a bad setting fails before any raster is read
+        if not 0.0 < self.prob_threshold < 1.0:
+            raise ValueError(f"prob_threshold must lie in (0, 1), got {self.prob_threshold}")
+        if not self.alpha > 0:   # NaN fails too
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+
     def resolved_min_cells(self, stride: int) -> int:
         if self.min_cells is not None:
             return self.min_cells

@@ -5,7 +5,8 @@ the encode -> decode -> IoU roundtrip of the codec.
 The matcher follows the common ICDAR-style convention: detections claim
 ground truths greedily in score order at a configurable IoU threshold;
 detections overlapping only don't-care regions count as neither true nor
-false positives. Corpus results micro-average the tp/fp/fn counts.
+false positives. Every score derives from the tp/fp/fn counts by one rule
+(EvalReport); a corpus report holds the summed per-image counts.
 """
 
 from __future__ import annotations
@@ -21,29 +22,36 @@ from .geom import Polygon, min_area_rect, polygon_iou
 
 @dataclass
 class EvalReport:
-    precision: float
-    recall: float
-    fscore: float
-    matches: list[tuple[int, int, float]] = field(default_factory=list)
+    """Matching counts. Precision, recall and F-score are all 1.0 when tp + fp + fn
+    is 0 (ICDAR 2015's empty-image rule), else 0.0 on a zero denominator."""
+
     tp: int = 0
     fp: int = 0
     fn: int = 0
     ignored_dets: int = 0
+    matches: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
         return (self.tp, self.fp, self.fn, self.ignored_dets)
 
+    @property
+    def precision(self) -> float:
+        return self._ratio(self.tp, self.tp + self.fp)
 
-def _prf(tp: int, fp: int, fn: int, no_input: bool) -> tuple[float, float, float]:
-    if no_input:
-        # An empty image scored against an empty ground truth is perfect;
-        # its zero counts contribute nothing to micro-averages either way.
-        return 1.0, 1.0, 1.0
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f
+    @property
+    def recall(self) -> float:
+        return self._ratio(self.tp, self.tp + self.fn)
+
+    @property
+    def fscore(self) -> float:
+        p, r = self.precision, self.recall
+        return self._ratio(2 * p * r, p + r)
+
+    def _ratio(self, num: float, den: float) -> float:
+        if self.tp + self.fp + self.fn == 0:
+            return 1.0
+        return num / den if den else 0.0
 
 
 def _eval_polygon(obj, mode: str) -> Polygon:
@@ -112,18 +120,12 @@ def match(
                 break
 
     tp = len(matches)
-    fp = len(dets) - tp - ignored_dets
-    fn = len(real) - tp
-    p, r, f = _prf(tp, fp, fn, no_input=not dets and not real)
     return EvalReport(
-        precision=p,
-        recall=r,
-        fscore=f,
-        matches=sorted(matches),
         tp=tp,
-        fp=fp,
-        fn=fn,
+        fp=len(dets) - tp - ignored_dets,
+        fn=len(real) - tp,
         ignored_dets=ignored_dets,
+        matches=sorted(matches),
     )
 
 
@@ -178,27 +180,17 @@ def evaluate_dataset(
             f"unpaired image ids: {missing_dets + missing_gts} (pass allow_missing to skip)"
         )
 
-    per_image = {}
-    tp = fp = fn = ignored = 0
-    any_input = False
-    for image_id in sorted(set(dets_by_image) & set(gts_by_image)):
-        rep = match(
+    per_image = {
+        image_id: match(
             dets_by_image[image_id],
             gts_by_image[image_id],
             iou_threshold=iou_threshold,
             mode=mode,
         )
-        per_image[image_id] = rep
-        tp += rep.tp
-        fp += rep.fp
-        fn += rep.fn
-        ignored += rep.ignored_dets
-        any_input = any_input or rep.tp + rep.fp + rep.fn > 0
-
-    p, r, f = _prf(tp, fp, fn, no_input=not any_input)
-    overall = EvalReport(
-        precision=p, recall=r, fscore=f, tp=tp, fp=fp, fn=fn, ignored_dets=ignored
-    )
+        for image_id in sorted(set(dets_by_image) & set(gts_by_image))
+    }
+    # column sums of the per-image counts; no pairs leave EvalReport() at zero
+    overall = EvalReport(*(sum(c) for c in zip(*(rep.counts for rep in per_image.values()))))
     return DatasetReport(
         overall=overall,
         per_image=per_image,

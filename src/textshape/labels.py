@@ -28,9 +28,9 @@ from .geom import (
 
 SHRINK = 0.25
 # Largest grid (width * height cells) a RasterGrid may describe, about
-# 5,800 x 5,800. Encode keeps ~26 bytes per cell (two float64 distance
-# planes, its float64 best distance and two uint8 masks), so this caps one
-# encode near 0.9 GB whatever extent an annotation file claims.
+# 5,800 x 5,800. Encode keeps ~18 bytes per cell (two float64 distance
+# planes and two uint8 masks), so this caps one encode near 0.6 GB whatever
+# extent an annotation file claims.
 MAX_GRID_CELLS = 2**25
 
 
@@ -261,7 +261,6 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
     stats = EncodeStats()
     # flat views: a cell (r, c) is index r * width + c
     mask, dist_x, dist_y = out.mask.ravel(), out.dist_x.ravel(), out.dist_y.ravel()
-    best_dist = np.full(mask.size, np.inf)
 
     for ann in annotations:
         if ann.ignore:
@@ -279,12 +278,14 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
         flat = rows * grid.width + cols
         occupied = mask[flat] == 1
         stats.conflict_cells += int(occupied.sum())
-        claim = ~occupied | (dist < best_dist[flat])
+        claim = ~occupied
+        # the hypot of a held cell's offset is its owner's distance, bit for bit
+        held = flat[occupied]
+        claim[occupied] = dist[occupied] < np.hypot(dist_x[held], dist_y[held])
         f = flat[claim]
         mask[f] = 1
         dist_x[f] = feet[claim, 0] - centers[claim, 0]
         dist_y[f] = feet[claim, 1] - centers[claim, 1]
-        best_dist[f] = dist[claim]
 
     out.stats = stats
     return out

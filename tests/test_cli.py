@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import tracemalloc
 
@@ -265,6 +266,19 @@ class TestEvalCommand:
         assert det_dir.exists() == (missing == "gt")
         assert not (det_dir / "eval_report.txt").exists()
 
+    def test_without_report_writes_nothing(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        for p in gt_dir.glob("*.txt"):
+            formats.write_detections(det_dir / p.name, [])
+        files = sorted(p.name for p in det_dir.iterdir())
+        outs = []
+        for _ in range(2):
+            assert cli.main(["eval", str(det_dir), str(gt_dir), "totaltext"]) == 0
+            outs.append(capsys.readouterr().out)
+            assert sorted(p.name for p in det_dir.iterdir()) == files
+        assert outs[0] == outs[1] and "fn=4\n" in outs[0]
+
     def test_mismatched_ids_allowed_with_flag(self, gt_dir, tmp_path):
         det_dir = tmp_path / "dets"
         det_dir.mkdir()
@@ -385,6 +399,37 @@ class TestDeterminismAndConfig:
             assert p.read_bytes() == (d2 / p.name).read_bytes()
 
 
+# Fixed forms over the gt_dir fixture, run in order from its parent directory.
+BYTE_IDENTITY_FORMS = [
+    "encode gt totaltext enc1",
+    "encode gt totaltext enc4 --stride 4",
+    "decode enc1 dec",
+    "decode enc1 decn --noise-sigma 1 --seed 5",
+    "roundtrip gt totaltext rt/r.txt",
+    "roundtrip gt totaltext rtn/r.txt --noise-sigma 1 --seed 5",
+    "eval dec gt totaltext --report evp/eval.txt",
+    "eval decn gt totaltext --mode quad --report evq/eval.txt",
+    "render --gt gt/img_c.txt --det dec/img_c.txt plain.svg",
+    "render --gt gt/img_b.txt --det decn/img_b.txt --quad quad.svg",
+    "netplan 512 512 2",
+]
+
+
+def test_outputs_byte_identical(gt_dir, tmp_path, monkeypatch, capsys):
+    """One SHA-256 over every form's exit code, stdout and stderr and over every file
+    written (relative name plus bytes). A refactor that changes no output keeps it."""
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in BYTE_IDENTITY_FORMS:
+        rc = cli.main(argv.split())
+        captured = capsys.readouterr()
+        for part in (argv, str(rc), captured.out, captured.err.replace(str(tmp_path), "TMP")):
+            h.update(part.encode() + b"\0")
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == "6238346cddb185d00c23be349593dbff1a658698c3188a0365710675a0a43d8d"
+
+
 class TestFlags:
     DECODE = {"--alpha", "--prob-threshold", "--min-points", "--min-cells", "--seed",
               "--noise-sigma"}
@@ -422,6 +467,25 @@ class TestFlags:
         rc = cli.main([command, str(gt_dir), "totaltext", str(target), "--stride", stride])
         assert rc == 1
         assert capsys.readouterr().err == f"error: --stride must be at least 1, got {stride}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decode", "roundtrip"])
+    @pytest.mark.parametrize("flag,value,err", [
+        ("--alpha", "0", "alpha must be positive, got 0.0"),
+        ("--alpha", "nan", "alpha must be positive, got nan"),
+        ("--prob-threshold", "1.5", "prob_threshold must lie in (0, 1), got 1.5"),
+    ], ids=["alpha-0", "alpha-nan", "prob-threshold-1.5"])
+    def test_bad_decode_setting_reads_and_writes_nothing(self, gt_dir, tmp_path, capsys, command,
+                                                         flag, value, err):
+        (gt_dir / "img_bad.txt").write_bytes(b"\x80\n")   # an error of its own, if it were read
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        (labels / "img_bad.msrr").write_bytes(b"JUNK")   # likewise
+        out = tmp_path / "o"
+        argv = ([command, str(labels), str(out)] if command == "decode"
+                else [command, str(gt_dir), "totaltext", str(out / "r.txt")])
+        assert cli.main(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 
 
@@ -462,6 +526,12 @@ def _hostile_tree(root):
     (root / "blanks" / "b.txt").write_text("\n")
     (root / "big").mkdir()   # finite coordinates whose products overflow
     (root / "big" / "a.txt").write_text("0,0,1e200,0,1e200,1e200,0,1e200\n")
+    (root / "zero").mkdir()   # one raster without a positive cell
+    zeros = np.zeros((32, 32), dtype=np.float32)
+    formats.write_raster(
+        root / "zero" / "p.msrr",
+        PredictionRaster(grid=RasterGrid(32, 32), prob=zeros, dist_x=zeros, dist_y=zeros),
+    )
     (root / "bigdet").mkdir()
     (root / "bigdet" / "a.txt").write_text("0.5,3,0,0,1e200,0,0,1e200\n")
 
@@ -484,6 +554,9 @@ HOSTILE = [
     ("decode nan out", 0, "cells with non-finite prob or distance"),
     ("decode empty out", 0, ""),
     ("decode nan file/out", 1, "error:"),
+    ("decode zero out --alpha 0", 1, "error: alpha must be positive, got 0.0"),
+    ("decode zero out --alpha nan", 1, "error: alpha must be positive, got nan"),
+    ("decode zero out --prob-threshold 1.5", 1, "error: prob_threshold must lie in (0, 1)"),
     ("roundtrip binary totaltext r.txt", 1, "error: binary/a.txt: not UTF-8"),
     ("roundtrip missing totaltext r.txt", 1, "error: missing is not a directory"),
     ("roundtrip empty totaltext r.txt", 1, "error: no annotations in empty"),
@@ -493,6 +566,10 @@ HOSTILE = [
     ("roundtrip blanks totaltext r.txt", 1, "error: no annotations in blanks"),
     ("roundtrip gt totaltext r.txt --stride 0", 1, "error: --stride must be at least 1, got 0"),
     ("roundtrip gt totaltext r.txt --stride -1", 1, "error: --stride must be at least 1, got -1"),
+    ("roundtrip blanks totaltext r.txt --alpha 0", 1, "error: alpha must be positive"),
+    ("roundtrip blanks totaltext r.txt --alpha nan", 1, "error: alpha must be positive"),
+    ("roundtrip blanks totaltext r.txt --prob-threshold 1.5", 1,
+     "error: prob_threshold must lie in (0, 1)"),
     ("eval binary gt totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval dets binary totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval missing gt totaltext", 1, "error: missing is not a directory"),

@@ -3,7 +3,13 @@ import pytest
 
 from textshape import labels as enc
 from textshape.synth import arc_annotation, rect_annotation, separated_pair
-from conftest import ray_cast_inside, shoelace, suite_digests, vertex_sets_match
+from conftest import (
+    point_major_nearest_boundary,
+    ray_cast_inside,
+    shoelace,
+    suite_digests,
+    vertex_sets_match,
+)
 
 RECT_RING = [(0, 0), (100, 0), (100, 40), (0, 40)]
 
@@ -221,6 +227,48 @@ class TestEncode:
             assert np.hypot(*(f - c)) <= best + 1e-6
             checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_overlapping_page_equals_reference(self, stride):
+        """Encode equals a reference that keeps each cell's best distance in a
+        plane of its own: central regions in annotation order, a strictly
+        smaller distance taking a cell another region already holds."""
+        rng = np.random.default_rng(stride)
+        anns = []
+        for i in range(10):
+            x, y = rng.uniform(10, 160, 2)
+            if i % 3 == 2:
+                ann = arc_annotation(x + 60, y + 70, 60.0, rng.uniform(20, 40), 100.0)
+            else:
+                ann = rect_annotation(x, y, rng.uniform(40, 120), rng.uniform(16, 48),
+                                      rng.uniform(-30, 30))
+            ann.ignore = i == 4
+            anns.append(ann)
+        m = stride * (230 // stride + 0.5)   # a row of cell centres where this pair ties
+        anns += [rect_annotation(170, m - 25, 120, 40), rect_annotation(170, m - 15, 120, 40)]
+        grid = enc.RasterGrid.for_image(300, 280, stride)
+        raster = enc.encode(anns, grid)
+
+        mask = np.zeros(grid.shape, np.uint8)
+        offsets = np.zeros(grid.shape + (2,))
+        best = np.full(grid.shape, np.inf)
+        conflicts = 0
+        for ann in anns:
+            if ann.ignore:
+                continue
+            rows, cols = enc._region_cells(enc.central_region_polygon(ann), grid)
+            centers = grid.cell_centers(rows, cols)
+            feet, dist = point_major_nearest_boundary(centers, ann.closed_vertices())
+            conflicts += int(mask[rows, cols].sum())
+            claim = dist < best[rows, cols]
+            r, c = rows[claim], cols[claim]
+            mask[r, c] = 1
+            offsets[r, c] = feet[claim] - centers[claim]
+            best[r, c] = dist[claim]
+        assert conflicts > 0 and raster.stats.conflict_cells == conflicts
+        assert raster.mask.tobytes() == mask.tobytes()
+        assert raster.dist_x.tobytes() == offsets[..., 0].tobytes()
+        assert raster.dist_y.tobytes() == offsets[..., 1].tobytes()
 
     def test_stride_four(self):
         ann = enc.split_sides(RECT_RING)

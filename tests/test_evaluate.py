@@ -210,6 +210,55 @@ def test_match_equals_brute_force_on_random_pages(mode):
     assert touching > 0 and pruned > 0
 
 
+@pytest.mark.parametrize(
+    "counts,scores",
+    [
+        ((0, 0, 0, 0), (1.0, 1.0, 1.0)),
+        ((0, 0, 0, 3), (1.0, 1.0, 1.0)),   # every detection on an ignore region
+        ((2, 0, 0, 1), (1.0, 1.0, 1.0)),
+        ((0, 0, 2, 0), (0.0, 0.0, 0.0)),
+        ((0, 2, 0, 0), (0.0, 0.0, 0.0)),
+        ((0, 1, 1, 0), (0.0, 0.0, 0.0)),
+        ((1, 1, 0, 0), (0.5, 1.0, 2 / 3)),
+        ((3, 1, 2, 5), (0.75, 0.6, 2 * 0.75 * 0.6 / 1.35)),
+    ],
+)
+def test_scores_derive_from_counts(counts, scores):
+    rep = evaluate.EvalReport(*counts)
+    assert rep.counts == counts
+    assert (rep.precision, rep.recall, rep.fscore) == pytest.approx(scores, abs=1e-12)
+
+
+def test_all_ignored_image_scores_alike_per_image_and_per_corpus():
+    gt = rect_annotation(0, 0, 100, 40)
+    gt.ignore = True
+    one = evaluate.match([det_for(gt)], [gt])
+    corpus = evaluate.evaluate_dataset({"a": [det_for(gt)]}, {"a": [gt]}).overall
+    assert one.counts == corpus.counts == (0, 0, 0, 1)
+    for rep in (one, corpus):
+        assert (rep.precision, rep.recall, rep.fscore) == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["polygon", "quad"])
+def test_corpus_report_is_the_report_of_summed_counts(mode):
+    rng = np.random.default_rng(11)
+    pages = [random_page(rng) for _ in range(12)]
+    dets = {f"p{i}": d for i, (d, _) in enumerate(pages)}
+    gts = {f"p{i}": g for i, (_, g) in enumerate(pages)}
+    for threshold in (0.5, 0.3, 1e-6):
+        overall = evaluate.evaluate_dataset(dets, gts, iou_threshold=threshold, mode=mode).overall
+        summed = np.sum(
+            [evaluate.match(dets[k], gts[k], iou_threshold=threshold, mode=mode).counts
+             for k in dets],
+            axis=0,
+        )
+        assert overall.counts == tuple(summed)
+        ref = evaluate.EvalReport(*(int(c) for c in summed))
+        assert (overall.precision, overall.recall, overall.fscore) == (
+            ref.precision, ref.recall, ref.fscore
+        )
+
+
 class TestDataset:
     def test_single_image_equals_match(self):
         dets = {"img0": [det_for(GT_A)]}
