@@ -19,18 +19,14 @@ from .labels import (
     central_region_polygon,
     encode,
     split_sides,
-    triangulate_annotation,
 )
 from .evaluate import EvalReport, evaluate_dataset, match
 from .geom import (
     NormTransform,
     Polygon,
-    Triangle,
     alpha_shape,
-    delaunay,
     denormalize_polygon,
     min_area_rect,
-    nearest_point_on_polygon,
     normalize_points,
     polygon_iou,
 )
@@ -53,11 +49,9 @@ __all__ = [
     "PredictionRaster",
     "RasterGrid",
     "ShapePlan",
-    "Triangle",
     "alpha_shape",
     "central_region_polygon",
     "decode",
-    "delaunay",
     "denormalize_polygon",
     "dice_loss",
     "encode",
@@ -65,7 +59,6 @@ __all__ = [
     "match",
     "min_area_rect",
     "multitask_loss",
-    "nearest_point_on_polygon",
     "normalize_points",
     "polygon_iou",
     "reconstruct",
@@ -73,6 +66,5 @@ __all__ = [
     "shape_plan",
     "split_sides",
     "total_loss",
-    "triangulate_annotation",
     "upsample2x",
 ]

@@ -5,9 +5,12 @@ Each subcommand takes only the flags it reads: encode ``--stride``; decode
 roundtrip ``--stride``, those six and ``--min-mean-iou --min-instance-iou``;
 eval ``--iou-threshold --mode --report --allow-missing``.
 
-Exit status contract: 0 success; 1 for a setting ``RunConfig`` rejects (a
-``--stride`` below 1, ``--alpha`` or ``--prob-threshold`` out of range) and
-for any missing, unreadable or malformed input (a grid over
+Exit status contract: 0 success; 1 for a setting rejected before any input
+is read (a ``--stride``, ``--min-points`` or ``--min-cells`` below 1, an
+``--alpha`` not above 0, a ``--prob-threshold`` outside (0, 1), a
+``--noise-sigma`` that is negative or not finite, a ``--min-mean-iou`` or
+``--min-instance-iou`` outside [0, 1]; NaN is rejected everywhere) and for
+any missing, unreadable or malformed input (a grid over
 ``labels.MAX_GRID_CELLS``, an annotation file with no annotations given to
 encode and a roundtrip over no annotations included), reported as one
 ``error:`` line on stderr, or one per failed file for encode and decode,
@@ -51,13 +54,17 @@ class RunConfig(DecodeConfig):
     seed: int = 0
     noise_sigma: float = 0.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.stride >= 1:
+            raise ValueError(f"--stride must be at least 1, got {self.stride}")
+        if not 0.0 <= self.noise_sigma < np.inf:   # NaN fails too
+            raise ValueError(f"noise_sigma must be finite and at least 0, got {self.noise_sigma}")
+
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(**{f.name: getattr(args, f.name)
-                     for f in dataclasses.fields(cls) if hasattr(args, f.name)})
-        if cfg.stride < 1:   # before any input is read or output written
-            raise ValueError(f"--stride must be at least 1, got {cfg.stride}")
-        return cfg
+        return cls(**{f.name: getattr(args, f.name)
+                      for f in dataclasses.fields(cls) if hasattr(args, f.name)})
 
     def dump(self, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
@@ -160,6 +167,10 @@ def cmd_decode(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     cfg = RunConfig.from_args(args)
+    for flag, value in (("--min-mean-iou", args.min_mean_iou),
+                        ("--min-instance-iou", args.min_instance_iou)):
+        if not 0.0 <= value <= 1.0:   # NaN fails too
+            raise ValueError(f"{flag} must lie in [0, 1], got {value}")
     report_path = Path(args.report)
     rows = []
     gt_total = det_total = 0

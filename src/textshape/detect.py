@@ -38,6 +38,10 @@ class DecodeConfig:
             raise ValueError(f"prob_threshold must lie in (0, 1), got {self.prob_threshold}")
         if not self.alpha > 0:   # NaN fails too
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not self.min_points >= 1:
+            raise ValueError(f"min_points must be at least 1, got {self.min_points}")
+        if self.min_cells is not None and not self.min_cells >= 1:
+            raise ValueError(f"min_cells must be at least 1, got {self.min_cells}")
 
     def resolved_min_cells(self, stride: int) -> int:
         if self.min_cells is not None:
@@ -170,7 +174,8 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
     Points are normalized to the unit square, alpha-shaped, and the polygon
     resized back to image scale. Degenerate or fragmented shapes retry with
     alpha doubled up to 4 times and finally fall back to the convex hull,
-    so every usable instance yields an enclosing polygon.
+    so every usable instance yields an enclosing polygon. A vertex beyond
+    ``geom.MAX_COORD`` in magnitude, which no detection file may hold, rejects it.
     """
     norm_pts = points.norm.apply(points.points)
     inner = points.norm.apply(points.sources) if points.sources is not None else None
@@ -178,15 +183,17 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
         poly_n = geom.alpha_shape_with_fallback(norm_pts, alpha, must_contain=inner)
     except geom.DegenerateInputError as exc:
         raise InstanceRejected(str(exc)) from exc
-    return Detection(
-        polygon=geom.denormalize_polygon(poly_n, points.norm),
-        score=points.score,
-    )
+    poly = geom.denormalize_polygon(poly_n, points.norm)
+    if not np.abs(poly.vertices).max() <= geom.MAX_COORD:   # the detection reader's bound
+        raise InstanceRejected(f"a vertex exceeds {geom.MAX_COORD:g} in magnitude")
+    return Detection(polygon=poly, score=points.score)
 
 
 def add_distance_noise(pred: PredictionRaster, sigma: float, seed: int = 0) -> PredictionRaster:
     """Gaussian noise on the distance maps (robustness harness), seeded."""
-    if sigma <= 0:
+    if not 0.0 <= sigma < np.inf:   # NaN fails too
+        raise ValueError(f"noise sigma must be finite and at least 0, got {sigma}")
+    if sigma == 0:
         return pred
     rng = np.random.default_rng(seed)
     return PredictionRaster(

@@ -43,14 +43,11 @@ from .labels import (
     RasterGrid,
     split_sides,
 )
-from .geom import Polygon
+from .geom import MAX_COORD, Polygon
 
 MSRR_MAGIC = b"MSRR"
 MSRR_VERSION = 1
 ANNOTATION_FORMATS = ("ctw1500", "icdar2015", "msra_td500", "totaltext")
-# Largest accepted |coordinate|: products of two stay far from float overflow
-# in the area and orientation tests, and integers up to it print exactly.
-MAX_COORD = 1e15
 
 
 class ParseError(ValueError):

@@ -1,5 +1,5 @@
-"""Core 2D geometry: Delaunay triangulation, alpha shapes, nearest-boundary
-queries, minimum-area rotated rectangles and rasterized polygon IoU.
+"""Core 2D geometry: alpha shapes, nearest-boundary queries, minimum-area
+rotated rectangles and rasterized polygon IoU.
 
 Coordinates are image pixels unless a function says otherwise (alpha shapes
 operate on coordinates normalized to the unit square, see
@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-9
+# Largest |coordinate| read or written: products of two stay far from float
+# overflow in the area and orientation tests, and integers up to it print exactly.
+MAX_COORD = 1e15
 
 # Escalation ladder of alpha_shape_with_fallback.
 LADDER_DOUBLINGS = 4
@@ -98,10 +101,6 @@ class Polygon:
     def area(self) -> float:
         return abs(shoelace_area(self.vertices))
 
-    @property
-    def orientation(self) -> str:
-        return "CCW" if shoelace_area(self.vertices) > 0 else "CW"
-
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y)."""
         v = self.vertices
@@ -111,22 +110,6 @@ class Polygon:
             float(v[:, 0].max()),
             float(v[:, 1].max()),
         )
-
-
-@dataclass(frozen=True)
-class Triangle:
-    a: tuple[float, float]
-    b: tuple[float, float]
-    c: tuple[float, float]
-    circumradius: float
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=np.float64)
-
-    @property
-    def area(self) -> float:
-        return abs(shoelace_area(self.points))
 
 
 @dataclass(frozen=True)
@@ -145,12 +128,6 @@ class NormTransform:
 
     def invert(self, points) -> np.ndarray:
         return as_points(points) / self.scale + np.asarray(self.offset)
-
-
-def circumcircle(a, b, c) -> tuple[np.ndarray, float]:
-    """Circumcenter and circumradius of a triangle; radius is inf if collinear."""
-    centers, radii = _circumcircles(np.array([[a, b, c]], dtype=np.float64))
-    return centers[0], float(radii[0])
 
 
 def _circumcircles(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,22 +194,6 @@ def _delaunay_raw(
         raise DegenerateInputError("all candidate triangles are collinear")
     _, radii = _circumcircles(pts[simplices])
     return pts, simplices, radii, areas[keep]
-
-
-def delaunay(points) -> list[Triangle]:
-    """Delaunay triangulation of a point set.
-
-    Duplicates are removed first. Raises :class:`DegenerateInputError` for
-    fewer than 3 distinct points or an all-collinear set. Every returned
-    triangle carries its circumradius; degenerate triangles are never
-    emitted.
-    """
-    pts, simplices, radii, _ = _delaunay_raw(points)
-    tris = pts[simplices]
-    return [
-        Triangle(tuple(t[0]), tuple(t[1]), tuple(t[2]), float(r))
-        for t, r in zip(tris, radii)
-    ]
 
 
 def _directed_edges(simplices: np.ndarray) -> np.ndarray:
@@ -486,15 +447,6 @@ def nearest_boundary_points(points, vertices) -> tuple[np.ndarray, np.ndarray]:
         feet_out[lo : lo + chunk, 1] = fy[idx, cols]
         dist_out[lo : lo + chunk] = d[idx, cols]
     return feet_out, dist_out
-
-
-def nearest_point_on_polygon(p, poly: Polygon | np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Nearest boundary point b and signed offsets (b.x - p.x, b.y - p.y)."""
-    vertices = poly.vertices if isinstance(poly, Polygon) else poly
-    q = np.asarray(p, dtype=np.float64).reshape(1, 2)
-    feet, _ = nearest_boundary_points(q, vertices)
-    foot = feet[0]
-    return foot, float(foot[0] - q[0, 0]), float(foot[1] - q[0, 1])
 
 
 def normalize_points(points) -> tuple[np.ndarray, NormTransform]:

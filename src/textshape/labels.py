@@ -16,9 +16,7 @@ import numpy as np
 
 from .geom import (
     Polygon,
-    Triangle,
     as_points,
-    circumcircle,
     drop_repeats,
     is_simple,
     nearest_boundary_points,
@@ -115,24 +113,6 @@ def _arc_params(chain: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise MalformedAnnotationError("chain has zero length")
     return np.concatenate([[0.0], np.cumsum(seg)]) / total
-
-
-def triangulate_annotation(ann: AnnotationPolygon) -> list[Triangle]:
-    """Tile the annotation with triangles straddling the two chains.
-
-    The zip merge yields exactly len(upper) + len(lower) - 2 triangles whose
-    total area equals the annotation polygon area.
-    """
-    edges = _zip_edges(ann)
-    tris = []
-    for (iu0, il0), (iu1, il1) in zip(edges, edges[1:]):
-        if iu1 > iu0:
-            corners = (ann.upper[iu0], ann.upper[iu1], ann.lower[il0])
-        else:
-            corners = (ann.upper[iu0], ann.lower[il1], ann.lower[il0])
-        _, radius = circumcircle(*corners)
-        tris.append(Triangle(tuple(corners[0]), tuple(corners[1]), tuple(corners[2]), radius))
-    return tris
 
 
 def central_region_polygon(ann: AnnotationPolygon) -> Polygon:

@@ -95,6 +95,17 @@ def vertex_sets_match(a, b, tol: float = 1e-9) -> bool:
     return True
 
 
+def zip_triangles(upper, lower, edges) -> list[np.ndarray]:
+    """Corners (3, 2) of the triangle between each pair of consecutive zip
+    edges ``(upper_idx, lower_idx)``; each step must advance one chain by one."""
+    tris = []
+    for (iu0, il0), (iu1, il1) in zip(edges, edges[1:]):
+        assert sorted((iu1 - iu0, il1 - il0)) == [0, 1], "a zip step advances one chain by one"
+        third = upper[iu1] if iu1 > iu0 else lower[il1]
+        tris.append(np.array([upper[iu0], third, lower[il0]], dtype=float))
+    return tris
+
+
 def point_major_nearest_boundary(points, vertices):
     """Reference nearest-boundary search, laid out points x edges.
 

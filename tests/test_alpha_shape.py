@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 
 from textshape import geom
 from conftest import rasterize_oracle, shoelace, strip_collinear, vertex_sets_match
+from test_geom import circumcircle_oracle
 
 
 def l_shape_points(spacing=0.02):
@@ -58,21 +59,17 @@ class TestAlphaShape:
         assert abs(shoelace(poly.vertices)) == pytest.approx(L_AREA + notch_area, abs=1e-6)
 
     def test_retained_sets_monotone_in_alpha(self, rng):
-        pts = rng.random((80, 2))
-        tris = geom.delaunay(pts)
+        _, simplices, radii, _ = geom._delaunay_raw(rng.random((80, 2)))
+        tris = [tuple(s) for s in simplices]
         for a1, a2 in [(0.05, 0.1), (0.1, 0.3), (0.3, math.inf)]:
-            kept1 = {t for t in tris if t.circumradius <= a1}
-            kept2 = {t for t in tris if t.circumradius <= a2}
+            kept1 = {t for t, r in zip(tris, radii) if r <= a1}
+            kept2 = {t for t, r in zip(tris, radii) if r <= a2}
             assert kept1 <= kept2
 
-    def test_radius_partition(self, rng):
-        pts = rng.random((60, 2))
-        alpha = 0.12
-        for t in geom.delaunay(pts):
-            if t.circumradius <= alpha:
-                assert t.circumradius <= alpha
-            else:
-                assert t.circumradius > alpha
+    def test_radii_match_circumcircle_oracle(self, rng):
+        pts, simplices, radii, _ = geom._delaunay_raw(rng.random((60, 2)))
+        want = [circumcircle_oracle(a, b, c)[1] for a, b, c in pts[simplices]]
+        np.testing.assert_allclose(radii, want, rtol=0, atol=1e-9)
 
     def test_all_triangles_discarded_raises_empty(self):
         with pytest.raises(geom.EmptyAlphaShapeError):
@@ -93,7 +90,7 @@ class TestAlphaShape:
         for _ in range(10):
             pts = rng.random((60, 2))
             poly = geom.alpha_shape(pts, 0.25)
-            assert poly.orientation == "CCW"
+            assert geom.shoelace_area(poly.vertices) > 0
             assert geom.is_simple(poly.vertices)
 
     def test_boundary_walk_with_vertex_ids_above_65536(self):

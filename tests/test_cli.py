@@ -474,7 +474,12 @@ class TestFlags:
         ("--alpha", "0", "alpha must be positive, got 0.0"),
         ("--alpha", "nan", "alpha must be positive, got nan"),
         ("--prob-threshold", "1.5", "prob_threshold must lie in (0, 1), got 1.5"),
-    ], ids=["alpha-0", "alpha-nan", "prob-threshold-1.5"])
+        ("--min-points", "-1", "min_points must be at least 1, got -1"),
+        ("--min-cells", "-5", "min_cells must be at least 1, got -5"),
+        ("--noise-sigma", "nan", "noise_sigma must be finite and at least 0, got nan"),
+        ("--noise-sigma", "-1", "noise_sigma must be finite and at least 0, got -1.0"),
+    ], ids=["alpha-0", "alpha-nan", "prob-threshold-1.5", "min-points--1", "min-cells--5",
+            "noise-sigma-nan", "noise-sigma--1"])
     def test_bad_decode_setting_reads_and_writes_nothing(self, gt_dir, tmp_path, capsys, command,
                                                          flag, value, err):
         (gt_dir / "img_bad.txt").write_bytes(b"\x80\n")   # an error of its own, if it were read
@@ -486,6 +491,16 @@ class TestFlags:
                 else [command, str(gt_dir), "totaltext", str(out / "r.txt")])
         assert cli.main(argv + [flag, value]) == 1
         assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--min-mean-iou", "nan"), ("--min-mean-iou", "-0.5"), ("--min-instance-iou", "1.5"),
+    ])
+    def test_bad_iou_gate_reads_and_writes_nothing(self, gt_dir, tmp_path, capsys, flag, value):
+        (gt_dir / "img_bad.txt").write_bytes(b"\x80\n")   # an error of its own, if it were read
+        out = tmp_path / "o"
+        assert cli.main(["roundtrip", str(gt_dir), "totaltext", str(out / "r.txt"), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must lie in [0, 1], got {float(value)}\n"
         assert not out.exists()
 
 
@@ -557,6 +572,12 @@ HOSTILE = [
     ("decode zero out --alpha 0", 1, "error: alpha must be positive, got 0.0"),
     ("decode zero out --alpha nan", 1, "error: alpha must be positive, got nan"),
     ("decode zero out --prob-threshold 1.5", 1, "error: prob_threshold must lie in (0, 1)"),
+    ("decode zero out --noise-sigma nan", 1,
+     "error: noise_sigma must be finite and at least 0, got nan"),
+    ("decode zero out --noise-sigma -1", 1,
+     "error: noise_sigma must be finite and at least 0, got -1.0"),
+    ("decode zero out --min-cells -5", 1, "error: min_cells must be at least 1, got -5"),
+    ("decode zero out --min-points -1", 1, "error: min_points must be at least 1, got -1"),
     ("roundtrip binary totaltext r.txt", 1, "error: binary/a.txt: not UTF-8"),
     ("roundtrip missing totaltext r.txt", 1, "error: missing is not a directory"),
     ("roundtrip empty totaltext r.txt", 1, "error: no annotations in empty"),
@@ -570,6 +591,8 @@ HOSTILE = [
     ("roundtrip blanks totaltext r.txt --alpha nan", 1, "error: alpha must be positive"),
     ("roundtrip blanks totaltext r.txt --prob-threshold 1.5", 1,
      "error: prob_threshold must lie in (0, 1)"),
+    ("roundtrip blanks totaltext r.txt --min-mean-iou nan", 1,
+     "error: --min-mean-iou must lie in [0, 1], got nan"),
     ("eval binary gt totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval dets binary totaltext", 1, "error: binary/a.txt: not UTF-8"),
     ("eval missing gt totaltext", 1, "error: missing is not a directory"),

@@ -1,4 +1,5 @@
-"""scipy loads only when a command decodes.
+"""The import surface: every export resolves, and scipy loads only when a
+command decodes.
 
 The commands run in a fresh interpreter, since this test process may have
 loaded scipy already.
@@ -65,3 +66,11 @@ def test_scipy_loaded_only_by_decode(tmp_path):
         assert (tmp_path / "dets" / f"{name}.txt").read_text() == (
             tmp_path / "dets_ref" / f"{name}.txt"
         ).read_text()
+
+
+def test_every_export_resolves():
+    missing = [name for name in textshape.__all__ if not hasattr(textshape, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from textshape import *", namespace)
+    assert set(textshape.__all__) <= namespace.keys()

@@ -336,6 +336,18 @@ class TestDecode:
         back = formats.read_detections(path)
         assert [d.score for d in back] == [1.0]
 
+    def test_vertex_beyond_max_coord_rejected_and_output_readable(self, tmp_path):
+        # distances scaled by 1e15 put a decoded vertex near -1.95e16
+        pred = perfect_pred(rect_annotation(10, 10, 120, 40), (140, 60))
+        pred.dist_x *= 1e15
+        pred.dist_y *= 1e15
+        diag = detect.DecodeDiagnostics()
+        dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert (len(dets), diag.rejected) == (0, 1)
+        path = tmp_path / "dets.txt"
+        formats.write_detections(path, dets)
+        assert formats.read_detections(path) == []
+
     def test_deterministic(self):
         ann = rect_annotation(10, 10, 150, 50)
         pred = perfect_pred(ann, (170, 70))
@@ -374,6 +386,12 @@ class TestNoise:
         ann = rect_annotation(10, 10, 100, 40)
         pred = perfect_pred(ann, (120, 60))
         assert detect.add_distance_noise(pred, 0.0, seed=7) is pred
+
+    @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
+    def test_bad_sigma_raises(self, sigma):
+        pred = perfect_pred(rect_annotation(10, 10, 100, 40), (120, 60))
+        with pytest.raises(ValueError, match="sigma must be finite and at least 0"):
+            detect.add_distance_noise(pred, sigma)
 
     def test_sigma_one_keeps_count_and_mean_quality(self):
         anns = [

@@ -9,6 +9,7 @@ from conftest import (
     shoelace,
     suite_digests,
     vertex_sets_match,
+    zip_triangles,
 )
 
 RECT_RING = [(0, 0), (100, 0), (100, 40), (0, 40)]
@@ -60,36 +61,39 @@ class TestSplitSides:
             enc.split_sides([(0, 0), (100, 0), (0, 40), (100, 40)])
 
 
+def zip_tiles(ann):
+    return zip_triangles(ann.upper, ann.lower, enc._zip_edges(ann))
+
+
 class TestTriangulate:
     def test_rectangle_two_triangles_tile_area(self):
-        ann = enc.split_sides(RECT_RING)
-        tris = enc.triangulate_annotation(ann)
+        tris = zip_tiles(enc.split_sides(RECT_RING))
         assert len(tris) == 2
-        assert sum(t.area for t in tris) == pytest.approx(4000, rel=1e-9)
+        assert sum(abs(shoelace(t)) for t in tris) == pytest.approx(4000, rel=1e-9)
 
     def test_ctw_line_triangle_count_and_tiling(self):
         xs = np.linspace(0, 300, 7)
         upper = [(x, 60 - 40 * np.sin(np.pi * x / 300)) for x in xs]
         lower = [(x, 100 - 40 * np.sin(np.pi * x / 300)) for x in xs]
         ann = enc.AnnotationPolygon.make(upper, lower)
-        tris = enc.triangulate_annotation(ann)
+        tris = zip_tiles(ann)
         assert len(tris) == 12   # n_up + n_low - 2
-        total = sum(t.area for t in tris)
+        total = sum(abs(shoelace(t)) for t in tris)
         assert total == pytest.approx(abs(shoelace(ann.closed_vertices())), rel=1e-6)
 
     def test_uneven_chains(self):
         ann = enc.AnnotationPolygon.make([(0, 0), (100, 0)], [(0, 30), (50, 30), (100, 30)])
-        tris = enc.triangulate_annotation(ann)
+        tris = zip_tiles(ann)
         assert len(tris) == 3
-        total = sum(t.area for t in tris)
+        total = sum(abs(shoelace(t)) for t in tris)
         assert total == pytest.approx(abs(shoelace(ann.closed_vertices())), rel=1e-9)
 
     def test_every_triangle_straddles_chains(self):
         ann = arc_annotation(0, 0, 120, 40, 150)
         upper = {tuple(p) for p in ann.upper}
         lower = {tuple(p) for p in ann.lower}
-        for t in enc.triangulate_annotation(ann):
-            corners = {t.a, t.b, t.c}
+        for t in zip_tiles(ann):
+            corners = {tuple(p) for p in t}
             assert corners & upper and corners & lower
 
 

@@ -27,79 +27,85 @@ def circumcircle_oracle(a, b, c):
     return (ux, uy), math.hypot(ax - ux, ay - uy)
 
 
-def assert_empty_circumcircle(points, triangles, tol=1e-7):
-    pts = np.asarray(points, dtype=float)
-    for tri in triangles:
-        center, radius = circumcircle_oracle(tri.a, tri.b, tri.c)
+def assert_empty_circumcircle(pts, simplices, tol=1e-7):
+    pts = np.asarray(pts, dtype=float)
+    for a, b, c in pts[simplices]:
+        center, radius = circumcircle_oracle(a, b, c)
         d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         assert (d >= radius - tol).all(), "a point lies strictly inside a circumcircle"
 
 
 class TestDelaunay:
     def test_single_right_triangle(self):
-        tris = geom.delaunay([(0, 0), (1, 0), (0, 1)])
-        assert len(tris) == 1
-        assert tris[0].circumradius == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+        _, simplices, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (0, 1)])
+        assert len(simplices) == 1
+        assert radii[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
 
     def test_unit_square_two_triangles(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        tris = geom.delaunay(pts)
-        assert len(tris) == 2
-        for t in tris:
-            assert t.circumradius == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+        pts, simplices, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert len(simplices) == 2
+        for r in radii:
+            assert r == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
         # Either diagonal satisfies the (tie) empty-circumcircle property.
-        assert_empty_circumcircle(pts, tris)
+        assert_empty_circumcircle(pts, simplices)
 
     def test_random_points_empty_circumcircle(self, rng):
-        pts = rng.random((200, 2))
-        tris = geom.delaunay(pts)
-        assert_empty_circumcircle(pts, tris)
+        pts, simplices, _, _ = geom._delaunay_raw(rng.random((200, 2)))
+        assert_empty_circumcircle(pts, simplices)
 
     def test_triangles_cover_convex_hull_area(self, rng):
         pts = rng.random((60, 2))
-        tris = geom.delaunay(pts)
-        total = sum(t.area for t in tris)
+        tri_pts, simplices, _, _ = geom._delaunay_raw(pts)
+        total = sum(abs(shoelace(t)) for t in tri_pts[simplices])
         from scipy.spatial import ConvexHull
 
         assert total == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
 
     def test_duplicates_deduplicated(self):
-        tris = geom.delaunay([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1)])
-        assert len(tris) == 1
+        _, simplices, _, _ = geom._delaunay_raw([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1)])
+        assert len(simplices) == 1
 
     def test_too_few_points(self):
         with pytest.raises(geom.DegenerateInputError):
-            geom.delaunay([(0, 0), (1, 1)])
+            geom._delaunay_raw([(0, 0), (1, 1)])
 
     def test_collinear_points(self):
         with pytest.raises(geom.DegenerateInputError):
-            geom.delaunay([(0, 0), (1, 1), (2, 2), (3, 3)])
+            geom._delaunay_raw([(0, 0), (1, 1), (2, 2), (3, 3)])
 
     def test_no_degenerate_triangles_emitted(self, rng):
         pts = np.vstack([rng.random((50, 2)), [[0.5, 0.5]] * 3])
-        for t in geom.delaunay(pts):
-            assert t.area > 0
-            assert math.isfinite(t.circumradius)
+        tri_pts, simplices, radii, _ = geom._delaunay_raw(pts)
+        for t, r in zip(tri_pts[simplices], radii):
+            assert abs(shoelace(t)) > 0
+            assert math.isfinite(r)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_empty_circumcircle_property(self, seed):
-        pts = np.random.default_rng(seed).random((25, 2))
-        assert_empty_circumcircle(pts, geom.delaunay(pts))
+        pts, simplices, _, _ = geom._delaunay_raw(np.random.default_rng(seed).random((25, 2)))
+        assert_empty_circumcircle(pts, simplices)
+
+
+def nearest_offset(p, poly):
+    """Foot on the polygon boundary nearest to p, and the offset foot - p."""
+    q = np.array([p], dtype=np.float64)
+    feet, _ = geom.nearest_boundary_points(q, poly)
+    return feet[0], tuple(feet[0] - q[0])
 
 
 class TestNearestPoint:
     RECT = [(0, 0), (100, 0), (100, 40), (0, 40)]
 
     def test_interior_point_nearest_top_edge(self):
-        foot, dx, dy = geom.nearest_point_on_polygon((50, 15), self.RECT)
+        foot, offset = nearest_offset((50, 15), self.RECT)
         assert foot == pytest.approx([50, 0])
-        assert (dx, dy) == pytest.approx((0, -15))
+        assert offset == pytest.approx((0, -15))
 
     def test_point_on_boundary(self):
-        foot, dx, dy = geom.nearest_point_on_polygon((30, 0), self.RECT)
+        foot, offset = nearest_offset((30, 0), self.RECT)
         assert foot == pytest.approx([30, 0])
-        assert (dx, dy) == (0, 0)
+        assert offset == (0, 0)
 
     def test_equidistant_tie_breaks_to_smaller_y(self):
         # (50, 20) is 20 px from both the top and bottom edge; a dense
@@ -107,13 +113,13 @@ class TestNearestPoint:
         samples = boundary_samples(self.RECT, 10**5)
         d = np.hypot(samples[:, 0] - 50, samples[:, 1] - 20)
         assert d.min() == pytest.approx(20, abs=1e-3)
-        foot, dx, dy = geom.nearest_point_on_polygon((50, 20), self.RECT)
+        foot, _ = nearest_offset((50, 20), self.RECT)
         assert foot == pytest.approx([50, 0])
 
     def test_outside_point(self):
-        foot, dx, dy = geom.nearest_point_on_polygon((120, 20), self.RECT)
+        foot, offset = nearest_offset((120, 20), self.RECT)
         assert foot == pytest.approx([100, 20])
-        assert (dx, dy) == pytest.approx((-20, 0))
+        assert offset == pytest.approx((-20, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -122,8 +128,8 @@ class TestNearestPoint:
     )
     def test_distance_not_beaten_by_dense_sampling(self, px, py):
         poly = [(0, 0), (80, 10), (100, 50), (40, 70), (-10, 30)]
-        foot, dx, dy = geom.nearest_point_on_polygon((px, py), poly)
-        got = math.hypot(dx, dy)
+        _, offset = nearest_offset((px, py), poly)
+        got = math.hypot(*offset)
         samples = boundary_samples(poly, 10**5)
         best = np.hypot(samples[:, 0] - px, samples[:, 1] - py).min()
         assert got <= best + 1e-6
@@ -387,7 +393,6 @@ class TestPolygonType:
     def test_orientation_normalized_to_ccw(self):
         cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
         poly = geom.Polygon.make(cw)
-        assert poly.orientation == "CCW"
         assert shoelace(poly.vertices) > 0
 
     def test_zero_area_rejected(self):
