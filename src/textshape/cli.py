@@ -9,16 +9,16 @@ Exit status contract: 0 success; 1 for a setting rejected before any input
 is read (a ``--stride``, ``--min-points`` or ``--min-cells`` below 1, an
 ``--alpha`` not above 0, a ``--prob-threshold`` outside (0, 1), a
 ``--noise-sigma`` that is negative or not finite, a ``--min-mean-iou`` or
-``--min-instance-iou`` outside [0, 1]; NaN is rejected everywhere) and for
-any missing, unreadable or malformed input (a grid over
-``labels.MAX_GRID_CELLS``, an annotation file with no annotations given to
-encode and a roundtrip over no annotations included), reported as one
-``error:`` line on stderr, or one per failed file for encode and decode,
-that names the flag or the file once; 2 for a roundtrip threshold failure or
-an argparse usage error. Roundtrip skips annotation files with no
-annotations. Every command is deterministic given its inputs, configuration
-and seed, and every output directory receives the serialized run
-configuration; eval writes only under ``--report``.
+``--min-instance-iou`` outside [0, 1], an ``--iou-threshold`` outside
+(0, 1]; NaN is rejected everywhere) and for any missing, unreadable or
+malformed input (a grid over ``labels.MAX_GRID_CELLS``, an annotation file
+with no annotations given to encode and a roundtrip over no annotations
+included), reported as one ``error:`` line on stderr, or one per failed file
+for encode and decode, that names the flag or the file once; 2 for a
+roundtrip threshold failure or an argparse usage error. Roundtrip skips
+annotation files with no annotations. Every command is deterministic given
+its inputs, configuration and seed, and every output directory receives the
+serialized run configuration; eval writes only under ``--report``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class RunConfig(DecodeConfig):
             raise ValueError(f"--stride must be at least 1, got {self.stride}")
         if not 0.0 <= self.noise_sigma < np.inf:   # NaN fails too
             raise ValueError(f"noise_sigma must be finite and at least 0, got {self.noise_sigma}")
+        evaluate._check_match_args(self.iou_threshold, self.mode)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":

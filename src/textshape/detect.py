@@ -230,8 +230,8 @@ def decode(
         diag.cells += len(comp)
         try:
             points = boundary_points(comp, pred, cfg.min_points, cfg.alpha)
-            diag.points += len(points.points)
             dets.append(reconstruct(points, cfg.alpha))
+            diag.points += len(points.points)
         except InstanceRejected:
             diag.rejected += 1
     dets.sort(key=lambda d: -d.score)

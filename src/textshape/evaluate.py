@@ -79,8 +79,8 @@ def match(
     the threshold. In "quad" mode both sides are reduced to their
     minimum-area oriented rectangles first. Unmatched detections whose best
     overlap is an ignore region at or above the threshold are excluded from
-    the false positives. The threshold must lie in (0, 1]. Only pairs whose
-    bounding boxes overlap or touch, up to rounding, are rasterized: any
+    the false positives. The threshold must lie in (0, 1]. polygon_iou runs
+    only on pairs whose bounding boxes overlap or touch, up to rounding: any
     other pair has IoU exactly 0 (see polygon_mask), which never wins.
     """
     _check_match_args(iou_threshold, mode)

@@ -477,31 +477,32 @@ def min_area_rect(poly: Polygon | np.ndarray) -> Polygon:
     """Minimum-area oriented rectangle enclosing a polygon.
 
     Rotating calipers over the convex hull: the optimal rectangle shares a
-    direction with some hull edge.
+    direction with some hull edge. Matrix products, each over a bounded chunk
+    of directions, project the hull onto every edge direction and its normal;
+    the first direction whose area beats the best so far by more than 1e-12
+    wins.
     """
     vertices = poly.vertices if isinstance(poly, Polygon) else as_points(poly)
     hull = convex_hull(vertices)
     edges = np.roll(hull, -1, axis=0) - hull
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    dirs = edges / lengths[:, None]
-
-    best_area = math.inf
-    best = None
-    for ux, uy in dirs:
-        rot = np.array([[ux, uy], [-uy, ux]])
-        proj = hull @ rot.T
-        lo = proj.min(axis=0)
-        hi = proj.max(axis=0)
-        area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
+    dirs = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    # rows 2k, 2k + 1 hold rot_k = [[ux, uy], [-uy, ux]] of hull edge k
+    rots = np.stack([dirs, dirs[:, ::-1] * (-1.0, 1.0)], axis=1).reshape(-1, 2)
+    lo, hi = np.empty(len(rots)), np.empty(len(rots))
+    step = 2 * max(1, 2**20 // len(hull))   # ~2**21 floats (16 MB) per product on any hull
+    for c in range(0, len(rots), step):
+        proj = hull @ rots[c : c + step].T
+        lo[c : c + step], hi[c : c + step] = proj.min(axis=0), proj.max(axis=0)
+    span = hi - lo
+    best_area, best = math.inf, None
+    for k, area in enumerate((span[::2] * span[1::2]).tolist()):
         if area < best_area - 1e-12:
-            best_area = area
-            corners = np.array(
-                [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
-            )
-            best = corners @ rot
+            best_area, best = area, k
     if best is None:
         raise DegenerateInputError("cannot fit a rectangle to a degenerate polygon")
-    return Polygon.make(best)
+    (lu, lv), (hu, hv) = lo[2 * best : 2 * best + 2], hi[2 * best : 2 * best + 2]
+    corners = np.array([[lu, lv], [hu, lv], [hu, hv], [lu, hv]])
+    return Polygon.make(corners @ rots[2 * best : 2 * best + 2])
 
 
 def _row_crossings(vertices: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -562,6 +563,24 @@ def point_in_polygon(points, vertices) -> np.ndarray:
     return inside
 
 
+def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
+    """Sorted scanline flips of a polygon on a grid of cell centers.
+
+    One key ``row * (nx + 1) + col`` per crossing (see :func:`_row_crossings`),
+    col being the number of the row's centers at or left of it: the crossing
+    flips cells col.. of its row, none when col = nx. A row has an even number
+    of keys, so the sorted keys pair up into runs [k0, k1), [k2, k3), ... of
+    inside cells.
+    """
+    if not (cell[0] > 0 and cell[1] > 0):
+        raise ValueError(f"cell sizes must be positive, got {cell}")
+    ny, nx = shape
+    xc = origin[0] + (np.arange(nx) + 0.5) * cell[0]
+    yc = origin[1] + (np.arange(ny) + 0.5) * cell[1]
+    line, xs = _row_crossings(as_points(vertices), yc)
+    return np.sort(line * (nx + 1) + np.searchsorted(xc, xs, side="right"))
+
+
 def polygon_mask(
     vertices,
     origin: tuple[float, float],
@@ -570,21 +589,14 @@ def polygon_mask(
 ) -> np.ndarray:
     """Rasterize a polygon: cell is set when its center is inside.
 
-    Scanline even-odd fill: per grid row, the edge crossings are found (see
-    :func:`_row_crossings`) and each one flips the cells whose center lies
-    right of it; a cell is inside when its running uint8 flip count (mod 256
-    keeps the parity) is odd, so set centers lie in (xmin, xmax] x [ymin,
-    ymax) of the vertices, up to a few ulps of rounding in the crossing x.
-    Linear in crossings plus cells. Cell sizes must be positive.
+    Scanline even-odd fill from the flips of :func:`_flip_keys` (the ones
+    :func:`polygon_iou` counts): a cell is inside when its running uint8 flip
+    count (mod 256 keeps the parity) is odd, so set centers lie in (xmin,
+    xmax] x [ymin, ymax) of the vertices, up to a few ulps of rounding in the
+    crossing x. Linear in crossings plus cells. Cell sizes must be positive.
     """
-    if not (cell[0] > 0 and cell[1] > 0):
-        raise ValueError(f"cell sizes must be positive, got {cell}")
     ny, nx = shape
-    V = as_points(vertices)
-    xc = origin[0] + (np.arange(nx) + 0.5) * cell[0]
-    yc = origin[1] + (np.arange(ny) + 0.5) * cell[1]
-    line, xs = _row_crossings(V, yc)
-    pos = line * (nx + 1) + np.searchsorted(xc, xs, side="right")
+    pos = _flip_keys(vertices, origin, cell, shape)
     flips = np.bincount(pos, minlength=ny * (nx + 1)).reshape(ny, nx + 1)[:, :nx]
     return (np.cumsum(flips.astype(np.uint8), axis=1, dtype=np.uint8) & 1).view(bool)
 
@@ -592,9 +604,12 @@ def polygon_mask(
 def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:
     """Rasterized intersection-over-union of two simple polygons.
 
-    Both polygons are scan-converted onto a shared resolution x resolution
-    grid spanning their joint bounding box; concave inputs are handled by
-    construction. Disjoint polygons score 0.
+    The IoU of both polygons' :func:`polygon_mask` rasters on a shared
+    resolution x resolution grid spanning their joint bounding box, counted
+    from their scanline runs without building the rasters, so the same float.
+    Time O(c log c) and memory O(c) in the c crossings (about 2 x resolution
+    per polygon that each row crosses twice), not resolution^2. Concave
+    inputs are handled by construction. Disjoint polygons score 0.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
@@ -606,12 +621,16 @@ def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:
         return 0.0
     cell = ((x1 - x0) / resolution, (y1 - y0) / resolution)
     shape = (resolution, resolution)
-    ma = polygon_mask(a.vertices, (x0, y0), cell, shape)
-    mb = polygon_mask(b.vertices, (x0, y0), cell, shape)
-    union = np.logical_or(ma, mb).sum()
+    ka = _flip_keys(a.vertices, (x0, y0), cell, shape)
+    kb = _flip_keys(b.vertices, (x0, y0), cell, shape)
+    keys = np.concatenate([ka, kb])
+    order = np.argsort(keys, kind="stable")
+    in_a = order < len(ka)
+    both = (np.cumsum(in_a) & np.cumsum(~in_a) & 1)[:-1].astype(bool)   # both parities odd
+    inter = int(np.diff(keys[order])[both].sum())
+    union = int((ka[1::2] - ka[::2]).sum() + (kb[1::2] - kb[::2]).sum()) - inter
     if union == 0:
         return 0.0
-    inter = np.logical_and(ma, mb).sum()
     return float(inter) / float(union)
 
 

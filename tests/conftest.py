@@ -150,6 +150,36 @@ def point_major_nearest_boundary(points, vertices):
     return feet_out, dist_out
 
 
+def per_direction_min_area_rect(hull) -> np.ndarray:
+    """Reference rotating calipers, one hull edge direction at a time.
+
+    The earlier loop of ``geom.min_area_rect``, kept verbatim so the batched
+    projection can be checked bit for bit against it: corners (4, 2) of the
+    first rectangle, over the edge directions of ``hull`` in order, whose
+    area beats the best so far by more than 1e-12; None when none does.
+    """
+    hull = np.asarray(hull, dtype=np.float64)
+    edges = np.roll(hull, -1, axis=0) - hull
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    dirs = edges / lengths[:, None]
+
+    best_area = float("inf")
+    best = None
+    for ux, uy in dirs:
+        rot = np.array([[ux, uy], [-uy, ux]])
+        proj = hull @ rot.T
+        lo = proj.min(axis=0)
+        hi = proj.max(axis=0)
+        area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
+        if area < best_area - 1e-12:
+            best_area = area
+            corners = np.array(
+                [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
+            )
+            best = corners @ rot
+    return best
+
+
 def _array_digest(h, a) -> None:
     a = np.ascontiguousarray(a)
     h.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())

@@ -503,6 +503,16 @@ class TestFlags:
         assert capsys.readouterr().err == f"error: {flag} must lie in [0, 1], got {float(value)}\n"
         assert not out.exists()
 
+    def test_bad_iou_threshold_reads_nothing(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        (det_dir / "img_a.txt").write_bytes(b"\x80\n")   # an error of its own, if it were read
+        argv = ["eval", str(det_dir), str(gt_dir), "totaltext", "--iou-threshold", "nan",
+                "--report", str(tmp_path / "o" / "r.txt")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: iou_threshold must lie in (0, 1], got nan\n"
+        assert not (tmp_path / "o").exists()
+
 
 def _hostile_tree(root):
     """Inputs no subcommand may answer with a traceback, under ``root``."""

@@ -343,7 +343,7 @@ class TestDecode:
         pred.dist_y *= 1e15
         diag = detect.DecodeDiagnostics()
         dets = detect.decode(pred, detect.DecodeConfig(), diag)
-        assert (len(dets), diag.rejected) == (0, 1)
+        assert (len(dets), diag.rejected, diag.points) == (0, 1, 0)
         path = tmp_path / "dets.txt"
         formats.write_detections(path, dets)
         assert formats.read_detections(path) == []

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textshape import geom, labels
+from textshape import detect, geom, labels
 from textshape.synth import arc_annotation, roundtrip_suite
 from conftest import (
     boundary_samples,
+    per_direction_min_area_rect,
     point_major_nearest_boundary,
     rasterize_oracle,
     ray_cast_inside,
@@ -204,6 +206,65 @@ class TestNormalize:
         assert geom.denormalize_polygon(poly, t).vertices == pytest.approx(poly.vertices)
 
 
+def random_ring(rng, n: int, scale: float = 100.0) -> np.ndarray:
+    """Simple, mostly concave ring: n vertices at sorted random angles and
+    random radii around a random center."""
+    t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    r = rng.uniform(0.3, 1.0, n) * scale
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1) + rng.uniform(-scale, scale, 2)
+
+
+def sigma1_decodes(step: int = 40) -> list:
+    """Polygons decoded from every step-th suite instance at distance noise 1."""
+    out = []
+    for i, inst in enumerate(roundtrip_suite()[::step]):
+        grid = labels.RasterGrid.for_image(*inst.image_size, stride=1)
+        pred = detect.PredictionRaster.from_label(labels.encode([inst.annotation], grid))
+        noisy = detect.add_distance_noise(pred, 1.0, seed=1000 + i * step)
+        out += [d.polygon for d in detect.decode(noisy)]
+    return out
+
+
+def mask_iou(a, b, resolution: int) -> float:
+    """IoU of the polygon_mask rasters of a and b on their joint-bbox grid:
+    the cell counts polygon_iou must reproduce without the rasters."""
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.bounds(), b.bounds()
+    x0, y0, x1, y1 = min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1)
+    if x1 <= x0 or y1 <= y0:
+        return 0.0
+    cell = ((x1 - x0) / resolution, (y1 - y0) / resolution)
+    ma, mb = (geom.polygon_mask(p.vertices, (x0, y0), cell, (resolution, resolution))
+              for p in (a, b))
+    union = np.logical_or(ma, mb).sum()
+    return float(np.logical_and(ma, mb).sum()) / float(union) if union else 0.0
+
+
+def grid_edge_cases(r: int) -> list:
+    """Pairs whose joint bbox is [0, r]^2, so cell centers sit at k + 0.5:
+    identical, disjoint, edge-sharing and edge-touching shapes, and rings
+    with every vertex on a center row and column, where crossing ties fall."""
+    P = geom.Polygon.make
+    c, q = r / 2 + 0.5, r / 4 + 0.5
+    left = P([(0, 0), (c, 0), (c, r), (0, r)])
+    rng = np.random.default_rng(r)
+
+    def on_centers():   # 24 vertices on centers, 4 at the bbox sides' midpoints
+        t = np.concatenate([rng.uniform(0.0, 2 * np.pi, 24), np.arange(4) * np.pi / 2])
+        u = np.stack([np.cos(t), np.sin(t)], axis=1)
+        ring = np.floor(r / 2 + rng.uniform(0.1, 0.45, (28, 1)) * r * u) + 0.5
+        ring[24:] = r / 2 + r / 2 * np.round(u[24:])
+        return P(ring[np.argsort(t)])
+
+    ring = on_centers()
+    pairs = [
+        (ring, ring),
+        (P([(0, 0), (q, 0), (q, q), (0, q)]), P([(c, c), (r, c), (r, r), (c, r)])),
+        (left, P([(c, 0), (r, 0), (r, r), (c, r)])),
+        (left, P([(c, q), (r, 0), (r, r), (c, r - q)])),
+    ]
+    return pairs + [(on_centers(), on_centers()) for _ in range(12)]
+
+
 class TestMinAreaRect:
     def test_axis_aligned_rect_is_itself(self):
         poly = geom.Polygon.make([(2, 3), (12, 3), (12, 8), (2, 8)])
@@ -249,6 +310,19 @@ class TestMinAreaRect:
             span = pts.max(axis=0) - pts.min(axis=0)
             assert rect.area <= span[0] * span[1] + 1e-9
 
+    def test_matches_per_direction_reference(self, rng):
+        t = np.linspace(0.0, 2 * np.pi, 1500, endpoint=False)
+        rings = [inst.annotation.polygon().vertices for inst in roundtrip_suite()]
+        rings += [random_ring(rng, n) for n in rng.integers(3, 41, 3000)]
+        rings.append(np.stack([300 * np.cos(t), 80 * np.sin(t)], axis=1))   # several products
+        for v in rings:
+            want = geom.Polygon.make(per_direction_min_area_rect(geom.convex_hull(v)))
+            assert np.array_equal(geom.min_area_rect(v).vertices, want.vertices)
+
+    def test_collinear_input_raises(self):
+        with pytest.raises(geom.DegenerateInputError):
+            geom.min_area_rect(np.array([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (2.0, 2.0)]))
+
 
 class TestPolygonIoU:
     def test_identical_polygons(self):
@@ -292,6 +366,36 @@ class TestPolygonIoU:
         mb = rasterize_oracle(square.vertices, 0, 0, 5, 5, n)
         oracle = np.logical_and(ma, mb).sum() / np.logical_or(ma, mb).sum()
         assert got == pytest.approx(float(oracle), abs=0.02)
+
+    @pytest.mark.parametrize("r", [64, 256, 512])
+    def test_span_count_equals_raster_iou(self, rng, r):
+        shapes = [inst.annotation.polygon() for inst in roundtrip_suite()[r // 64 :: 16]]
+        shapes += [geom.Polygon.make(random_ring(rng, n)) for n in rng.integers(3, 30, 12)]
+        decodes = sigma1_decodes()
+        shapes += decodes + [geom.min_area_rect(p) for p in decodes]
+        jitter = [p.vertices + rng.normal(0, 0.005, p.vertices.shape) * np.ptp(p.vertices)
+                  for p in shapes]
+        pairs = [(p, geom.Polygon.make(v)) for p, v in zip(shapes, jitter)]
+        pairs += list(zip(shapes, shapes[1:] + shapes[:1]))
+        pairs += [(p, geom.min_area_rect(p)) for p in shapes]
+        pairs += grid_edge_cases(r)
+        nonzero = 0
+        for a, b in pairs:
+            want = mask_iou(a, b, r)
+            assert geom.polygon_iou(a, b, r) == want
+            nonzero += want > 0
+        assert nonzero > len(pairs) // 2
+
+    def test_memory_linear_in_resolution(self):
+        a = geom.Polygon.make([(0, 0), (10, 0), (13, 6), (2, 9)])
+        b = geom.Polygon.make([(1, 1), (11, 0), (12, 7), (3, 9)])
+        tracemalloc.start()
+        try:
+            geom.polygon_iou(a, b, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def decoded_arc_outline() -> np.ndarray:
