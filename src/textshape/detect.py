@@ -18,6 +18,7 @@ from .labels import LabelRaster, RasterGrid
 
 DEFAULT_ALPHA = 0.06
 THIN_CELLS_PER_ALPHA = 16   # boundary-point lattice cells per alpha of the instance extent
+TABLE_CELLS_PER_POINT = 16  # largest dedupe table, in entries per boundary point
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 
@@ -73,12 +74,17 @@ class PredictionRaster:
 
     @classmethod
     def from_label(cls, label: LabelRaster) -> "PredictionRaster":
-        """Perfect prediction for a label raster (roundtrip harness)."""
+        """Perfect prediction for a label raster (roundtrip harness).
+
+        The distance planes are the label's own arrays when they are already
+        float64, not copies: a write into one shows in the other. ``decode``
+        and ``add_distance_noise`` never write into their input.
+        """
         return cls(
             grid=label.grid,
             prob=label.mask.astype(np.float64),
-            dist_x=label.dist_x.astype(np.float64),
-            dist_y=label.dist_y.astype(np.float64),
+            dist_x=np.asarray(label.dist_x, dtype=np.float64),
+            dist_y=np.asarray(label.dist_y, dtype=np.float64),
         )
 
 
@@ -127,6 +133,30 @@ def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
     return comps
 
 
+def _first_per_cell(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first point in each lattice cell.
+
+    ``kx``, ``ky`` are the points' int64 lattice indices, each within 2**62
+    of 0. One key per cell, ``(kx - min) * ny + (ky - min)``, is deduped
+    through a table with an entry per cell of the bounding lattice when that
+    table holds at most TABLE_CELLS_PER_POINT entries per point, and by
+    sorting the keys otherwise (a small alpha makes the lattice, and so the
+    table, unbounded). A lattice with more cells than int64 keys sorts the
+    index pairs.
+    """
+    n = len(kx)
+    x0, y0 = int(kx.min()), int(ky.min())
+    nx, ny = int(kx.max()) - x0 + 1, int(ky.max()) - y0 + 1
+    if nx * ny >= 2**63:
+        return np.sort(geom.unique_rows(np.stack([kx, ky], axis=1))[1])
+    key = (kx - x0) * ny + (ky - y0)
+    if nx * ny > TABLE_CELLS_PER_POINT * n:
+        return np.sort(np.unique(key, return_index=True)[1])
+    slot = np.full(nx * ny, n, dtype=np.int64)
+    np.minimum.at(slot, key, np.arange(n, dtype=np.int64))
+    return np.sort(slot[slot < n])
+
+
 def boundary_points(
     component: np.ndarray,
     pred: PredictionRaster,
@@ -144,20 +174,26 @@ def boundary_points(
     points; instances under 0.5 * THIN_CELLS_PER_ALPHA / alpha px keep the
     0.5 px step. An alpha above 1, the side of that square, thins as 1 does,
     so the lattice never gets coarser than 1/THIN_CELLS_PER_ALPHA of the
-    extent. The score is the mean probability over the component's cells,
-    clamped to [0, 1].
+    extent. A point 2**62 lattice steps or more from the origin, which no
+    int64 lattice index holds, rejects the instance. The score is the mean
+    probability over the component's cells, clamped to [0, 1].
     """
     rows, cols = component[:, 0], component[:, 1]
     centers = pred.grid.cell_centers(rows, cols)
-    pts = np.empty_like(centers)
-    pts[:, 0] = centers[:, 0] + pred.dist_x[rows, cols]
-    pts[:, 1] = centers[:, 1] + pred.dist_y[rows, cols]
-    score = float(np.clip(pred.prob[rows, cols].mean(), 0.0, 1.0))
+    flat = rows * pred.grid.width + cols
+    x = centers[:, 0] + pred.dist_x.ravel()[flat]
+    y = centers[:, 1] + pred.dist_y.ravel()[flat]
+    score = float(np.clip(pred.prob.ravel()[flat].mean(), 0.0, 1.0))
 
-    extent = float(np.maximum(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
-    step = max(0.5, min(alpha, 1.0) * extent / THIN_CELLS_PER_ALPHA)
-    _, first = geom.unique_rows(np.round(pts / step).astype(np.int64))
-    pts = pts[np.sort(first)]
+    # Python floats: a span beyond the float64 range is inf, without a warning
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    step = max(0.5, min(alpha, 1.0) * max(x1 - x0, y1 - y0) / THIN_CELLS_PER_ALPHA)
+    bound = 2.0**62 * step
+    if not (-bound < x0 <= x1 < bound and -bound < y0 <= y1 < bound):   # NaN fails too
+        raise InstanceRejected(f"a boundary point lies 2**62 or more {step:g} px steps from 0")
+    kx, ky = np.round(x / step).astype(np.int64), np.round(y / step).astype(np.int64)
+    first = _first_per_cell(kx, ky)
+    pts = np.stack([x[first], y[first]], axis=1)
 
     if len(pts) < min_points:
         raise InstanceRejected(f"{len(pts)} boundary points < min_points={min_points}")
@@ -178,7 +214,9 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
     ``geom.MAX_COORD`` in magnitude, which no detection file may hold, rejects it.
     """
     norm_pts = points.norm.apply(points.points)
-    inner = points.norm.apply(points.sources) if points.sources is not None else None
+    inner = None
+    if points.sources is not None:
+        inner = points.norm.apply(geom.containment_probes(points.sources))
     try:
         poly_n = geom.alpha_shape_with_fallback(norm_pts, alpha, must_contain=inner)
     except geom.DegenerateInputError as exc:
@@ -217,12 +255,14 @@ def decode(
     """
     cfg = cfg or DecodeConfig()
     mask = binarize(pred.prob, cfg.prob_threshold)
-    finite = np.isfinite(pred.prob) & np.isfinite(pred.dist_x) & np.isfinite(pred.dist_y)
-    nonfinite = mask.astype(bool) & ~finite
-    mask[nonfinite] = 0
+    pos = np.flatnonzero(mask)   # only positive cells are ever read
+    finite = np.ones(len(pos), dtype=bool)
+    for plane in (pred.prob, pred.dist_x, pred.dist_y):
+        finite &= np.isfinite(plane.ravel()[pos])
+    mask.flat[pos[~finite]] = 0
     comps = extract_instances(mask, cfg.resolved_min_cells(pred.grid.stride))
     diag = diagnostics if diagnostics is not None else DecodeDiagnostics()
-    diag.nonfinite = int(nonfinite.sum())
+    diag.nonfinite = len(pos) - int(finite.sum())
     diag.components = len(comps)
 
     dets = []

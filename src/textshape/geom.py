@@ -23,6 +23,7 @@ MAX_COORD = 1e15
 LADDER_DOUBLINGS = 4
 MIN_COVERAGE = 0.98
 MIN_CONTAINMENT = 0.9
+MAX_CONTAINMENT_PROBES = 512   # must_contain points tested, at most
 
 
 class DegenerateInputError(ValueError):
@@ -341,6 +342,16 @@ def alpha_shape(points, alpha: float) -> Polygon:
     return poly
 
 
+def containment_probes(points: np.ndarray) -> np.ndarray:
+    """The rows the alpha ladder's containment test uses: every
+    (n // MAX_CONTAINMENT_PROBES + 1)-th of n, so at most
+    MAX_CONTAINMENT_PROBES; all of them when n is no larger.
+    """
+    if len(points) > MAX_CONTAINMENT_PROBES:
+        return points[:: len(points) // MAX_CONTAINMENT_PROBES + 1]
+    return points
+
+
 def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygon:
     """Alpha shape with the escalation ladder used by the decoder.
 
@@ -359,9 +370,7 @@ def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygo
     pts, simplices, radii, areas = _delaunay_raw(points, joggle=True)
     inner = None
     if must_contain is not None and len(must_contain):
-        inner = as_points(must_contain)
-        if len(inner) > 512:
-            inner = inner[:: len(inner) // 512 + 1]
+        inner = containment_probes(as_points(must_contain))
     a = alpha
     for _ in range(LADDER_DOUBLINGS + 1):
         try:

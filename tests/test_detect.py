@@ -1,10 +1,12 @@
+import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
 
 import textshape as ts
-from textshape import detect, formats
+from textshape import detect, evaluate, formats
 from textshape.labels import RasterGrid
 from textshape.synth import rect_annotation, separated_pair
 from conftest import boundary_samples
@@ -79,6 +81,15 @@ class TestExtractInstances:
         got = {frozenset(map(tuple, comp.tolist())) for comp in detect.extract_instances(mask, 1)}
         want = set(flood_fill_components(mask))
         assert got == want
+        # Many components: also their order (size descending, then by first
+        # cell in raster order) and each one's cells in raster order.
+        mask = (rng.random((60, 80)) < 0.3).astype(np.uint8)
+        got = detect.extract_instances(mask, 1)
+        want = sorted((sorted(c) for c in flood_fill_components(mask)), key=len, reverse=True)
+        assert len(got) == len(want) > 100
+        for comp, cells in zip(got, want):
+            assert comp.dtype == np.intp and comp.shape == (len(cells), 2)
+            assert comp.tolist() == [list(cell) for cell in cells]
 
     def test_small_components_dropped(self):
         mask = np.zeros((10, 10), dtype=np.uint8)
@@ -218,6 +229,75 @@ class TestThinning:
         assert len(detect.decode(pred, detect.DecodeConfig(alpha=float("inf")))) == 1
 
 
+    @staticmethod
+    def lattice(pts, alpha):
+        """The dedupe lattice of boundary_points: its step and its cell count."""
+        step = max(0.5, min(alpha, 1.0) * np.ptp(pts, axis=0).max() / detect.THIN_CELLS_PER_ALPHA)
+        return step, int(np.prod(np.ptp(np.round(pts / step), axis=0) + 1))
+
+    @pytest.mark.parametrize("alpha, table", [(1e-3, False), (0.06, True), (float("inf"), True)])
+    def test_matches_first_per_cell_oracle_with_and_without_table(self, alpha, table):
+        # a slanted band spans far more lattice cells than it has points
+        comp, pred = noisy_component(rect_annotation(20, 150, 560, 50, angle_deg=30), (620, 360))
+        pts = regressed_points(comp, pred)
+        step, cells = self.lattice(pts, alpha)
+        assert (cells <= detect.TABLE_CELLS_PER_POINT * len(pts)) == table
+        bp = detect.boundary_points(comp, pred, alpha=alpha)
+        assert np.array_equal(bp.points, first_per_cell(pts, step))
+
+    def test_small_alpha_allocates_no_lattice_table(self):
+        comp, pred = noisy_component(rect_annotation(20, 150, 560, 50, angle_deg=30), (620, 360))
+        n = len(comp)
+        _, cells = self.lattice(regressed_points(comp, pred), 1e-3)
+        assert 8 * cells > 300 * n   # an int64 entry per lattice cell
+        tracemalloc.start()
+        try:
+            detect.boundary_points(comp, pred, alpha=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * n
+
+    def test_lattice_beyond_int64_keys_matches_oracle(self):
+        # points spread over 4e10 px at the 0.5 px step: (8e10 cells)^2 > 2**63 keys
+        grid = RasterGrid(width=40, height=40, stride=1)
+        prob = np.zeros((40, 40))
+        prob[5:35, 5:35] = 1.0
+        rng = np.random.default_rng(5)
+        pred = detect.PredictionRaster(
+            grid=grid, prob=prob,
+            dist_x=rng.uniform(-2e10, 2e10, (40, 40)), dist_y=rng.uniform(-2e10, 2e10, (40, 40)),
+        )
+        comp = detect.extract_instances(detect.binarize(prob), 1)[0]
+        pts = regressed_points(comp, pred)
+        step, cells = self.lattice(pts, 1e-12)
+        assert step == 0.5 and cells >= 2**63
+        # the first two cells regress onto the third cell's point
+        pred.dist_x[comp[:2, 0], comp[:2, 1]] = pts[2, 0] - (comp[:2, 1] + 0.5)
+        pred.dist_y[comp[:2, 0], comp[:2, 1]] = pts[2, 1] - (comp[:2, 0] + 0.5)
+        bp = detect.boundary_points(comp, pred, alpha=1e-12)
+        assert np.array_equal(bp.points, first_per_cell(regressed_points(comp, pred), step))
+        assert len(bp.points) == len(comp) - 2
+
+    @pytest.mark.parametrize("far", ["shifted", "split"])
+    def test_points_beyond_int64_lattice_rejected_without_warning(self, far):
+        pred = perfect_pred(rect_annotation(10, 10, 120, 40), (140, 60))
+        pos = pred.prob > 0
+        if far == "shifted":   # every point about 2e20 lattice steps out
+            pred.dist_x[pos] += 1e20
+        else:                  # points at +-1.7e308: their span overflows float64
+            pred.dist_x[pos] = np.where(np.arange(pos.sum()) % 2, 1.7e308, -1.7e308)
+        comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+        diag = detect.DecodeDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if far == "shifted":
+                with pytest.raises(detect.InstanceRejected, match="2\\*\\*62 or more 0.5 px steps"):
+                    detect.boundary_points(comp, pred)
+            dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert (len(dets), diag.components, diag.rejected, diag.points) == (0, 1, 1, 0)
+
+
 class TestReconstruct:
     def test_rectangle_ring(self):
         ann = rect_annotation(10, 10, 300, 60)
@@ -335,6 +415,37 @@ class TestDecode:
         formats.write_detections(path, dets)
         back = formats.read_detections(path)
         assert [d.score for d in back] == [1.0]
+
+    def test_decode_and_roundtrip_leave_the_prediction_planes_unchanged(self, monkeypatch):
+        ann = rect_annotation(10, 10, 120, 40)
+        grid = RasterGrid.for_image(140, 60, 1)
+        label = ts.encode([ann], grid)
+        pred = detect.PredictionRaster.from_label(label)
+        assert pred.dist_x is label.dist_x and pred.dist_y is label.dist_y
+        rows, cols = np.nonzero(label.mask)
+        pred.dist_x[rows[5], cols[5]] = np.nan
+        pred.prob[rows[9], cols[9]] = np.inf
+        planes = (pred.prob, pred.dist_x, pred.dist_y)
+        before = [p.tobytes() for p in planes]
+        diag = detect.DecodeDiagnostics()
+        assert len(detect.decode(pred, detect.DecodeConfig(), diag)) == 1
+        assert diag.nonfinite == 2
+        assert [p.tobytes() for p in planes] == before
+
+        encoded = []
+
+        def encode_with_nan(anns, grid):
+            out = ts.encode(anns, grid)
+            out.dist_x[rows[5], cols[5]] = np.nan
+            encoded.append((out, [p.tobytes() for p in (out.mask, out.dist_x, out.dist_y)]))
+            return out
+
+        monkeypatch.setattr(evaluate, "encode", encode_with_nan)
+        for sigma in (0.0, 1.0):
+            ious, count = evaluate.roundtrip([ann], grid, noise_sigma=sigma)
+            assert count == 1 and ious[0] >= 0.75
+            out, before = encoded.pop()
+            assert [p.tobytes() for p in (out.mask, out.dist_x, out.dist_y)] == before
 
     def test_vertex_beyond_max_coord_rejected_and_output_readable(self, tmp_path):
         # distances scaled by 1e15 put a decoded vertex near -1.95e16
