@@ -136,22 +136,19 @@ def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
 def _first_per_cell(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     """Ascending indices of the first point in each lattice cell.
 
-    ``kx``, ``ky`` are the points' int64 lattice indices, each within 2**62
-    of 0. One key per cell, ``(kx - min) * ny + (ky - min)``, is deduped
-    through a table with an entry per cell of the bounding lattice when that
-    table holds at most TABLE_CELLS_PER_POINT entries per point, and by
-    sorting the keys otherwise (a small alpha makes the lattice, and so the
-    table, unbounded). A lattice with more cells than int64 keys sorts the
-    index pairs.
+    ``kx``, ``ky`` are the points' int64 lattice indices. One key per cell,
+    ``(kx - min) * ny + (ky - min)``, is deduped through a table with an
+    entry per cell of the bounding lattice when that table holds at most
+    TABLE_CELLS_PER_POINT entries per point; otherwise (a small alpha makes
+    the lattice unbounded) the index pairs are sorted, so the table stays
+    within that bound and the key within int64.
     """
     n = len(kx)
     x0, y0 = int(kx.min()), int(ky.min())
     nx, ny = int(kx.max()) - x0 + 1, int(ky.max()) - y0 + 1
-    if nx * ny >= 2**63:
+    if nx * ny > TABLE_CELLS_PER_POINT * n:
         return np.sort(geom.unique_rows(np.stack([kx, ky], axis=1))[1])
     key = (kx - x0) * ny + (ky - y0)
-    if nx * ny > TABLE_CELLS_PER_POINT * n:
-        return np.sort(np.unique(key, return_index=True)[1])
     slot = np.full(nx * ny, n, dtype=np.int64)
     np.minimum.at(slot, key, np.arange(n, dtype=np.int64))
     return np.sort(slot[slot < n])
