@@ -10,12 +10,14 @@ is read (a ``--stride``, ``--min-points`` or ``--min-cells`` below 1, an
 ``--alpha`` not above 0, a ``--prob-threshold`` outside (0, 1), a
 ``--noise-sigma`` that is negative or not finite, a ``--min-mean-iou`` or
 ``--min-instance-iou`` outside [0, 1], an ``--iou-threshold`` outside
-(0, 1]; NaN is rejected everywhere) and for any missing, unreadable or
-malformed input (a grid over ``labels.MAX_GRID_CELLS``, an annotation file
-with no annotations given to encode and a roundtrip over no annotations
-included), reported as one ``error:`` line on stderr, or one per failed file
-for encode and decode, that names the flag or the file once; 2 for a
-roundtrip threshold failure or an argparse usage error. Roundtrip skips
+(0, 1]; NaN is rejected everywhere; a netplan height or width below 1, or
+a channel count below 1 or above the larger side's bit length) and for any
+missing, unreadable or malformed input (a grid over
+``labels.MAX_GRID_CELLS``, an annotation file with no annotations given to
+encode and a roundtrip over no annotations included), reported as one
+``error:`` line on stderr, or one per failed file for encode and decode,
+that names the flag or the file once; 2 for a roundtrip threshold failure
+or an argparse usage error. Roundtrip skips
 annotation files with no annotations. Every command is deterministic given
 its inputs, configuration and seed, and every output directory receives the
 serialized run configuration; eval writes only under ``--report``.

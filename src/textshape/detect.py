@@ -97,7 +97,6 @@ class BoundaryPointSet:
     """
 
     points: np.ndarray
-    norm: geom.NormTransform
     score: float
     sources: np.ndarray | None = None
 
@@ -194,11 +193,7 @@ def boundary_points(
 
     if len(pts) < min_points:
         raise InstanceRejected(f"{len(pts)} boundary points < min_points={min_points}")
-    try:
-        _, norm = geom.normalize_points(pts)
-    except geom.DegenerateInputError as exc:
-        raise InstanceRejected(str(exc)) from exc
-    return BoundaryPointSet(points=pts, norm=norm, score=score, sources=centers)
+    return BoundaryPointSet(points=pts, score=score, sources=centers)
 
 
 def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detection:
@@ -210,15 +205,15 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
     so every usable instance yields an enclosing polygon. A vertex beyond
     ``geom.MAX_COORD`` in magnitude, which no detection file may hold, rejects it.
     """
-    norm_pts = points.norm.apply(points.points)
-    inner = None
-    if points.sources is not None:
-        inner = points.norm.apply(geom.containment_probes(points.sources))
     try:
+        norm_pts, norm = geom.normalize_points(points.points)
+        inner = None
+        if points.sources is not None:
+            inner = norm.apply(geom.containment_probes(points.sources))
         poly_n = geom.alpha_shape_with_fallback(norm_pts, alpha, must_contain=inner)
     except geom.DegenerateInputError as exc:
         raise InstanceRejected(str(exc)) from exc
-    poly = geom.denormalize_polygon(poly_n, points.norm)
+    poly = geom.denormalize_polygon(poly_n, norm)
     if not np.abs(poly.vertices).max() <= geom.MAX_COORD:   # the detection reader's bound
         raise InstanceRejected(f"a vertex exceeds {geom.MAX_COORD:g} in magnitude")
     return Detection(polygon=poly, score=points.score)

@@ -180,15 +180,15 @@ def format_ctw1500(ann: AnnotationPolygon) -> str:
     return ",".join(_fmt_coord(v) for v in ring.ravel())
 
 
-def format_icdar2015(ann: AnnotationPolygon, transcription: str | None = None) -> str:
+def format_icdar2015(ann: AnnotationPolygon) -> str:
     ring = ann.closed_vertices()
     if len(ring) != 4:
         raise ValueError("icdar2015 lines require quadrilaterals")
-    text = transcription if transcription is not None else ("###" if ann.ignore else "text")
+    text = "###" if ann.ignore else "text"
     return ",".join(_fmt_coord(v) for v in ring.ravel()) + "," + text
 
 
-def format_msra_td500(ann: AnnotationPolygon, index: int = 0) -> str:
+def format_msra_td500(ann: AnnotationPolygon) -> str:
     ring = ann.closed_vertices()
     if len(ring) != 4:
         raise ValueError("msra_td500 lines require rectangles")
@@ -200,7 +200,7 @@ def format_msra_td500(ann: AnnotationPolygon, index: int = 0) -> str:
     angle = float(math.atan2(e1[1], e1[0]))
     x, y = float(center[0] - w / 2.0), float(center[1] - h / 2.0)
     difficulty = 1 if ann.ignore else 0
-    return f"{index} {difficulty} {x!r} {y!r} {w!r} {h!r} {angle!r}"
+    return f"0 {difficulty} {x!r} {y!r} {w!r} {h!r} {angle!r}"
 
 
 def format_totaltext(ann: AnnotationPolygon) -> str:

@@ -131,8 +131,8 @@ class NormTransform:
         return as_points(points) / self.scale + np.asarray(self.offset)
 
 
-def _circumcircles(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized circumcircles for a (T, 3, 2) triangle array."""
+def _circumradii(tris: np.ndarray) -> np.ndarray:
+    """Vectorized circumradii for a (T, 3, 2) triangle array; inf when degenerate."""
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab = b - a
     ac = c - a
@@ -142,13 +142,7 @@ def _circumcircles(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = (ac[:, 1] * ab2 - ab[:, 1] * ac2) / d
         uy = (ab[:, 0] * ac2 - ac[:, 0] * ab2) / d
-    centers = a + np.stack([ux, uy], axis=1)
-    radii = np.where(
-        np.abs(d) <= 1e-300,
-        np.inf,
-        np.hypot(ux, uy),
-    )
-    return centers, radii
+    return np.where(np.abs(d) <= 1e-300, np.inf, np.hypot(ux, uy))
 
 
 def _collinear(pts: np.ndarray) -> bool:
@@ -159,13 +153,16 @@ def _collinear(pts: np.ndarray) -> bool:
 
 def _delaunay_raw(
     points, joggle: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicated points, CCW-oriented simplices, their circumradii and areas.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicated points, CCW-oriented simplices, their neighbor table,
+    circumradii and areas.
 
-    ``joggle`` asks Qhull to perturb the input by an epsilon (QJ), which is
-    deterministic and much faster on grid-aligned point sets; the resulting
-    near-degenerate slivers are filtered out below. Degeneracy is checked
-    explicitly beforehand because joggling would mask it.
+    ``neighbors[t, j]`` is Qhull's triangle across the edge opposite vertex
+    j of triangle t, or -1 where there is none. ``joggle`` asks Qhull to
+    perturb the input by an epsilon (QJ), which is deterministic and much
+    faster on grid-aligned point sets; the resulting near-degenerate slivers
+    are filtered out below. Degeneracy is checked explicitly beforehand
+    because joggling would mask it.
     """
     from scipy.spatial import Delaunay, QhullError   # loaded on first decode, not at import
 
@@ -180,60 +177,57 @@ def _delaunay_raw(
         tess = Delaunay(pts, qhull_options="QJ" if joggle else None)
     except QhullError as exc:
         raise DegenerateInputError(f"degenerate point set: {exc}") from exc
-    simplices = tess.simplices.copy()
+    simplices, neighbors = tess.simplices.copy(), tess.neighbors.copy()
     tris = pts[simplices]
     signed = 0.5 * (
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
     )
-    flip = signed < 0
+    flip = signed < 0   # reversing both rows keeps neighbor j opposite vertex j
     simplices[flip] = simplices[flip][:, ::-1]
+    neighbors[flip] = neighbors[flip][:, ::-1]
     areas = np.abs(signed)
     keep = areas > 1e-14
     simplices = simplices[keep]
     if len(simplices) == 0:
         raise DegenerateInputError("all candidate triangles are collinear")
-    _, radii = _circumcircles(pts[simplices])
-    return pts, simplices, radii, areas[keep]
+    return pts, simplices, _restrict(neighbors, keep), _circumradii(pts[simplices]), areas[keep]
 
 
-def _directed_edges(simplices: np.ndarray) -> np.ndarray:
-    """All directed edges (3 per CCW triangle) as a (3T, 2) array."""
-    return np.concatenate(
-        [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]]
-    )
+def _restrict(neighbors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The neighbor table of the ``keep`` (boolean mask) triangles, numbered
+    in their order; a dropped neighbor becomes -1."""
+    index = np.full(len(neighbors) + 1, -1, dtype=np.int64)   # index[-1]: no neighbor
+    index[:-1][keep] = np.arange(np.count_nonzero(keep))
+    return index[neighbors[keep]]
 
 
-def _largest_component(simplices: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Indices of the triangle component with the largest total area.
-
-    Triangles are adjacent when they share an (undirected) edge; an edge of
-    a triangulation belongs to at most two triangles, so matching sorted
-    edge keys pairwise is enough.
-    """
+def _largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Indices of the triangle component with the largest total area;
+    triangles are adjacent when the neighbor table links them."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n = len(simplices)
-    edges = _directed_edges(simplices).astype(np.int64)
-    keys = edges.min(axis=1) * (int(edges.max()) + 1) + edges.max(axis=1)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    ts = order % n   # directed edge e belongs to triangle e mod n
-    same = ks[1:] == ks[:-1]
-    a, b = ts[:-1][same], ts[1:][same]
-    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    n = len(neighbors)
+    t, j = np.nonzero(neighbors >= 0)
+    graph = coo_matrix((np.ones(len(t)), (t, neighbors[t, j])), shape=(n, n))
     ncomp, comp = connected_components(graph, directed=False)
     totals = np.bincount(comp, weights=areas, minlength=ncomp)
     best = int(np.argmax(totals))
     return np.flatnonzero(comp == best)
 
 
-def _boundary_loops(simplices: np.ndarray) -> list[list[int]]:
-    """Closed vertex loops bounding a set of CCW triangles.
+def _boundary_edges(simplices: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tails and heads of the directed edges with no triangle across. In a CCW
+    triangle the edge opposite vertex j runs from vertex j+1 to vertex j+2."""
+    t, j = np.nonzero(neighbors < 0)
+    return simplices[t, (j + 1) % 3], simplices[t, (j + 2) % 3]
 
-    Directed edges of CCW triangles keep the interior on their left, so
-    boundary edges (those without a reversed twin) chain into closed loops.
+
+def _boundary_loops(tails: np.ndarray, heads: np.ndarray) -> list[list[int]]:
+    """Closed vertex loops chained from the directed boundary edges of a set
+    of CCW triangles, which keep the interior on their left.
+
     Loops start at the smallest unused boundary edge, and the walk leaves
     every vertex by its smallest unused outgoing edge. A vertex's outgoing
     edges are therefore used in ascending order, so one pointer per vertex
@@ -242,12 +236,9 @@ def _boundary_loops(simplices: np.ndarray) -> list[list[int]]:
     vertices are split into sub-loops afterwards.
     """
     # int64 keys: Qhull's int32 indices would wrap above 46,340 points.
-    directed = _directed_edges(simplices).astype(np.int64)
-    base = int(directed.max()) + 1
-    keys = directed[:, 0] * base + directed[:, 1]
-    rev = np.sort(directed[:, 1] * base + directed[:, 0])
-    twin = np.minimum(np.searchsorted(rev, keys), len(rev) - 1)
-    tails, heads = np.divmod(np.sort(keys[rev[twin] != keys]), base)
+    tails, heads = tails.astype(np.int64), heads.astype(np.int64)
+    base = int(max(tails.max(), heads.max())) + 1
+    tails, heads = np.divmod(np.sort(tails * base + heads), base)
     nxt = np.searchsorted(tails, np.arange(base), side="left").tolist()
     stop = np.searchsorted(tails, np.arange(base), side="right").tolist()
     tails, heads = tails.tolist(), heads.tolist()
@@ -292,24 +283,28 @@ def _split_pinches(loop: list[int]) -> list[list[int]]:
 
 
 def _shape_from_filter(
-    pts: np.ndarray, simplices: np.ndarray, radii: np.ndarray, areas: np.ndarray, alpha: float
+    pts: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
+    radii: np.ndarray, areas: np.ndarray, alpha: float,
 ) -> tuple[Polygon, float]:
     """Alpha-filtered shape plus the fraction of points it covers.
 
     Coverage is the share of input points that are vertices of the chosen
     component's triangles; a well-formed shape covers nearly all of them
-    while a stray fragment covers only a few.
+    while a stray fragment covers only a few. A kept triangle's neighbors
+    lie in its own component, so the component's boundary edges are those
+    with no neighbor left.
     """
     keep = radii <= alpha
-    kept = simplices[keep]
-    if len(kept) == 0:
+    if not keep.any():
         raise EmptyAlphaShapeError(f"no triangle has circumradius <= {alpha}")
-    kept = kept[_largest_component(kept, areas[keep])]
+    kept, adjacent = simplices[keep], _restrict(neighbors, keep)
+    comp = _largest_component(adjacent, areas[keep])
+    kept, adjacent = kept[comp], adjacent[comp]
     coverage = len(np.unique(kept)) / len(pts)
 
     best: list[int] | None = None
     best_area = -1.0
-    for raw in _boundary_loops(kept):
+    for raw in _boundary_loops(*_boundary_edges(kept, adjacent)):
         for loop in _split_pinches(raw):
             area = abs(shoelace_area(pts[loop]))
             if area > best_area:
@@ -367,14 +362,14 @@ def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygo
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
-    pts, simplices, radii, areas = _delaunay_raw(points, joggle=True)
+    pts, simplices, neighbors, radii, areas = _delaunay_raw(points, joggle=True)
     inner = None
     if must_contain is not None and len(must_contain):
         inner = containment_probes(as_points(must_contain))
     a = alpha
     for _ in range(LADDER_DOUBLINGS + 1):
         try:
-            poly, coverage = _shape_from_filter(pts, simplices, radii, areas, a)
+            poly, coverage = _shape_from_filter(pts, simplices, neighbors, radii, areas, a)
         except AlphaShapeError:
             poly, coverage = None, 0.0
         if poly is not None and coverage >= MIN_COVERAGE:

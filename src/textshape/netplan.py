@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 STAGE_NAMES = ("conv2", "conv3", "conv4", "conv5")
-DEFAULT_STAGE_STRIDES = (4, 8, 16, 32)
+STAGE_STRIDES = (4, 8, 16, 32)
 
 
 class ShapePlanError(ValueError):
@@ -46,7 +46,6 @@ class ChannelPlan:
 @dataclass(frozen=True)
 class ShapePlan:
     input_shape: tuple[int, int]
-    stage_strides: tuple[int, ...]
     channels: tuple[ChannelPlan, ...]
     fusion_steps: tuple[FusionStep, ...]
 
@@ -55,31 +54,32 @@ class ShapePlan:
         return self.fusion_steps[-1].output_shape
 
 
-def shape_plan(
-    height: int,
-    width: int,
-    n_channels: int = 2,
-    stage_strides: tuple[int, ...] = DEFAULT_STAGE_STRIDES,
-) -> ShapePlan:
+def shape_plan(height: int, width: int, n_channels: int = 2) -> ShapePlan:
     """Plan all stage shapes and fusion steps for an input image.
 
     Channel k processes the input down-sampled by 2**k; stage j of channel k
-    therefore has overall stride stage_strides[j] * 2**k. Every spatial
+    therefore has overall stride STAGE_STRIDES[j] * 2**k. Every spatial
     scale collects the stage maps that live at it plus the x2-up-sampled
     output of the previous (coarser) scale; the final fused map sits at the
     stride of the first stage of channel 0.
 
-    Raises ShapePlanError naming the first stage whose stride does not
-    divide the input.
+    Raises ShapePlanError for a size below 1, for more channels than the
+    larger side has bits (channel k's stride is at least 2**k, so no stride
+    could divide the input), and otherwise naming the first stage whose
+    stride does not divide the input.
     """
+    if height < 1 or width < 1:
+        raise ShapePlanError(f"height and width must be at least 1, got {height}x{width}")
     if n_channels < 1:
         raise ValueError("need at least one channel")
-    if len(stage_strides) != len(STAGE_NAMES):
-        raise ValueError(f"expected {len(STAGE_NAMES)} stage strides")
+    if n_channels > max(height, width).bit_length():
+        raise ShapePlanError(
+            f"{n_channels} channels down-sample {height}x{width} below one cell"
+        )
 
     # Deepest stage first, so the error names the binding constraint.
     for k in reversed(range(n_channels)):
-        for name, s in zip(reversed(STAGE_NAMES), reversed(stage_strides)):
+        for name, s in zip(reversed(STAGE_NAMES), reversed(STAGE_STRIDES)):
             overall = s * (1 << k)
             if height % overall or width % overall:
                 raise ShapePlanError(
@@ -92,7 +92,7 @@ def shape_plan(
     for k in range(n_channels):
         ch_in = (height // (1 << k), width // (1 << k))
         stages = {}
-        for name, s in zip(STAGE_NAMES, stage_strides):
+        for name, s in zip(STAGE_NAMES, STAGE_STRIDES):
             overall = s * (1 << k)
             shape = (height // overall, width // overall)
             stages[name] = shape
@@ -114,7 +114,6 @@ def shape_plan(
 
     plan = ShapePlan(
         input_shape=(height, width),
-        stage_strides=tuple(stage_strides),
         channels=tuple(channels),
         fusion_steps=tuple(steps),
     )

@@ -16,6 +16,7 @@ import numpy as np
 from .labels import AnnotationPolygon
 
 MARGIN = 24.0
+ARC_SAMPLES = 7   # vertices per arc chain
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,13 @@ def arc_annotation(
     height: float,
     span_deg: float,
     rotation_deg: float = 0.0,
-    samples: int = 7,
 ) -> AnnotationPolygon:
     """Curved ribbon: two concentric arc chains around a centerline arc."""
     if radius - height / 2.0 <= 1.0:
         raise ValueError("arc is too fat: inner radius would vanish")
     t0 = math.radians(rotation_deg - span_deg / 2.0)
     t1 = math.radians(rotation_deg + span_deg / 2.0)
-    ts = np.linspace(t0, t1, samples)
+    ts = np.linspace(t0, t1, ARC_SAMPLES)
     outer = radius + height / 2.0
     inner = radius - height / 2.0
     upper = np.stack([cx + outer * np.sin(ts), cy - outer * np.cos(ts)], axis=1)

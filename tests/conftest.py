@@ -180,6 +180,43 @@ def per_direction_min_area_rect(hull) -> np.ndarray:
     return best
 
 
+def edge_key_largest_component(simplices, areas) -> np.ndarray:
+    """Reference adjacency for the alpha ladder's component step.
+
+    The earlier construction of ``geom._largest_component``, kept verbatim:
+    triangles are adjacent when their sorted undirected edge keys match
+    pairwise. Returns the ascending indices of the component with the
+    largest total area.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(simplices)
+    edges = np.concatenate(
+        [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]]
+    ).astype(np.int64)
+    keys = edges.min(axis=1) * (int(edges.max()) + 1) + edges.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    ts = order % n   # directed edge e belongs to triangle e mod n
+    same = ks[1:] == ks[:-1]
+    a, b = ts[:-1][same], ts[1:][same]
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    ncomp, comp = connected_components(graph, directed=False)
+    totals = np.bincount(comp, weights=areas, minlength=ncomp)
+    return np.flatnonzero(comp == int(np.argmax(totals)))
+
+
+def twin_search_boundary(simplices) -> list[tuple[int, int]]:
+    """Reference boundary of a set of CCW triangles: their directed edges
+    with no reversed twin among them, sorted."""
+    directed = np.concatenate(
+        [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]]
+    ).astype(np.int64)
+    present = set(map(tuple, directed.tolist()))
+    return sorted((a, b) for a, b in present if (b, a) not in present)
+
+
 def _array_digest(h, a) -> None:
     a = np.ascontiguousarray(a)
     h.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())

@@ -113,7 +113,7 @@ def test_alpha_shape_degeneration():
     for n in (10, 50, 150, 300):
         pts = rng.random((n, 2))
         try:
-            dpts, simplices, _, _ = geom._delaunay_raw(pts)
+            dpts, simplices, _, _, _ = geom._delaunay_raw(pts)
             assert_empty_circumcircle(dpts, simplices)
         except AssertionError:
             delaunay_ok = False

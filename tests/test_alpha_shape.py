@@ -5,7 +5,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from textshape import geom
-from conftest import rasterize_oracle, shoelace, strip_collinear, vertex_sets_match
+from conftest import (
+    edge_key_largest_component,
+    rasterize_oracle,
+    shoelace,
+    strip_collinear,
+    twin_search_boundary,
+    vertex_sets_match,
+)
 from test_geom import circumcircle_oracle
 
 
@@ -59,7 +66,7 @@ class TestAlphaShape:
         assert abs(shoelace(poly.vertices)) == pytest.approx(L_AREA + notch_area, abs=1e-6)
 
     def test_retained_sets_monotone_in_alpha(self, rng):
-        _, simplices, radii, _ = geom._delaunay_raw(rng.random((80, 2)))
+        _, simplices, _, radii, _ = geom._delaunay_raw(rng.random((80, 2)))
         tris = [tuple(s) for s in simplices]
         for a1, a2 in [(0.05, 0.1), (0.1, 0.3), (0.3, math.inf)]:
             kept1 = {t for t, r in zip(tris, radii) if r <= a1}
@@ -67,7 +74,7 @@ class TestAlphaShape:
             assert kept1 <= kept2
 
     def test_radii_match_circumcircle_oracle(self, rng):
-        pts, simplices, radii, _ = geom._delaunay_raw(rng.random((60, 2)))
+        pts, simplices, _, radii, _ = geom._delaunay_raw(rng.random((60, 2)))
         want = [circumcircle_oracle(a, b, c)[1] for a, b, c in pts[simplices]]
         np.testing.assert_allclose(radii, want, rtol=0, atol=1e-9)
 
@@ -95,11 +102,46 @@ class TestAlphaShape:
 
     def test_boundary_walk_with_vertex_ids_above_65536(self):
         # Qhull returns int32 indices. With ids this large an int32 edge key
-        # tail * base + head wraps: (65538, 20) would alias the reverse of
-        # (11, 5) and hide a boundary edge from the walk.
+        # tail * base + head wraps, and the sort would put the edges of the
+        # walk out of order.
         a, b, c, d = 65538, 20, 11, 5
-        simplices = np.array([[a, b, c], [a, c, d]], dtype=np.int32)
-        assert geom._boundary_loops(simplices) == [[d, a, b, c]]
+        tails = np.array([a, b, c, d], dtype=np.int32)
+        heads = np.array([b, c, d, a], dtype=np.int32)
+        assert geom._boundary_loops(tails, heads) == [[d, a, b, c]]
+
+
+class TestAdjacency:
+    def test_restrict_drops_a_middle_triangle_from_both_neighbors(self):
+        # a strip of four triangles, 0-1-2-3, each linked across one edge
+        neighbors = np.array([[1, -1, -1], [-1, 0, 2], [1, -1, 3], [-1, 2, -1]], dtype=np.int32)
+        got = geom._restrict(neighbors, np.array([True, False, True, True]))
+        assert got.tolist() == [[-1, -1, -1], [-1, -1, 2], [-1, 1, -1]]
+
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    @pytest.mark.parametrize("joggle", [False, True])
+    def test_matches_edge_key_oracle(self, kind, joggle):
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            pts = rng.random((300, 2))
+            if kind == "lattice":   # duplicates, collinear runs and cocircular quads
+                pts = np.round(pts * 24) / 24
+            pts, simplices, neighbors, radii, areas = geom._delaunay_raw(pts, joggle)
+            # neighbors[t, j] shares the edge opposite vertex j of t, not vertex j
+            t, j = np.nonzero(neighbors >= 0)
+            across = simplices[neighbors[t, j]]
+            for k in (1, 2):
+                assert (across == simplices[t, (j + k) % 3][:, None]).any(axis=1).all()
+            assert not (across == simplices[t, j][:, None]).any(axis=1).any()
+            for alpha in (0.02, 0.04, 0.08, 0.16, math.inf):
+                keep = radii <= alpha
+                if not keep.any():
+                    continue
+                kept, adjacent = simplices[keep], geom._restrict(neighbors, keep)
+                comp = geom._largest_component(adjacent, areas[keep])
+                assert np.array_equal(comp, edge_key_largest_component(kept, areas[keep]))
+                tails, heads = geom._boundary_edges(kept[comp], adjacent[comp])
+                got = sorted(zip(tails.tolist(), heads.tolist()))
+                assert got == twin_search_boundary(kept[comp])
 
 
 class TestAlphaShapeFallback:

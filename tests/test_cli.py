@@ -619,6 +619,10 @@ HOSTILE = [
     ("render missing/o.svg", 1, "error:"),
     ("render file/o.svg", 1, "error:"),
     ("netplan 512 512 0", 1, "error: need at least one channel"),
+    ("netplan -512 512 2", 1, "error: height and width must be at least 1, got -512x512"),
+    ("netplan 0 0 1", 1, "error: height and width must be at least 1, got 0x0"),
+    ("netplan 512 512 1000000000000", 1,
+     "error: 1000000000000 channels down-sample 512x512 below one cell"),
 ]
 
 

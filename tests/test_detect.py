@@ -308,15 +308,13 @@ class TestReconstruct:
 
     def test_three_points_give_triangle(self):
         pts = np.array([(0.0, 0.0), (40.0, 0.0), (20.0, 30.0)])
-        _, norm = ts.normalize_points(pts)
-        bp = detect.BoundaryPointSet(points=pts, norm=norm, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, score=1.0)
         det = detect.reconstruct(bp)
         assert det.polygon.area == pytest.approx(600.0, rel=1e-9)
 
     def test_degenerate_rejected(self):
         pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
-        _, norm = ts.normalize_points(pts)
-        bp = detect.BoundaryPointSet(points=pts, norm=norm, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, score=1.0)
         with pytest.raises(detect.InstanceRejected):
             detect.reconstruct(bp)
 

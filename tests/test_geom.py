@@ -39,12 +39,12 @@ def assert_empty_circumcircle(pts, simplices, tol=1e-7):
 
 class TestDelaunay:
     def test_single_right_triangle(self):
-        _, simplices, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (0, 1)])
+        _, simplices, _, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (0, 1)])
         assert len(simplices) == 1
         assert radii[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
 
     def test_unit_square_two_triangles(self):
-        pts, simplices, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (1, 1), (0, 1)])
+        pts, simplices, _, radii, _ = geom._delaunay_raw([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert len(simplices) == 2
         for r in radii:
             assert r == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
@@ -52,19 +52,19 @@ class TestDelaunay:
         assert_empty_circumcircle(pts, simplices)
 
     def test_random_points_empty_circumcircle(self, rng):
-        pts, simplices, _, _ = geom._delaunay_raw(rng.random((200, 2)))
+        pts, simplices, _, _, _ = geom._delaunay_raw(rng.random((200, 2)))
         assert_empty_circumcircle(pts, simplices)
 
     def test_triangles_cover_convex_hull_area(self, rng):
         pts = rng.random((60, 2))
-        tri_pts, simplices, _, _ = geom._delaunay_raw(pts)
+        tri_pts, simplices, _, _, _ = geom._delaunay_raw(pts)
         total = sum(abs(shoelace(t)) for t in tri_pts[simplices])
         from scipy.spatial import ConvexHull
 
         assert total == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
 
     def test_duplicates_deduplicated(self):
-        _, simplices, _, _ = geom._delaunay_raw([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1)])
+        _, simplices, _, _, _ = geom._delaunay_raw([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1)])
         assert len(simplices) == 1
 
     def test_too_few_points(self):
@@ -77,7 +77,7 @@ class TestDelaunay:
 
     def test_no_degenerate_triangles_emitted(self, rng):
         pts = np.vstack([rng.random((50, 2)), [[0.5, 0.5]] * 3])
-        tri_pts, simplices, radii, _ = geom._delaunay_raw(pts)
+        tri_pts, simplices, _, radii, _ = geom._delaunay_raw(pts)
         for t, r in zip(tri_pts[simplices], radii):
             assert abs(shoelace(t)) > 0
             assert math.isfinite(r)
@@ -85,7 +85,7 @@ class TestDelaunay:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_empty_circumcircle_property(self, seed):
-        pts, simplices, _, _ = geom._delaunay_raw(np.random.default_rng(seed).random((25, 2)))
+        pts, simplices, _, _, _ = geom._delaunay_raw(np.random.default_rng(seed).random((25, 2)))
         assert_empty_circumcircle(pts, simplices)
 
 

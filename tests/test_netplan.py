@@ -74,11 +74,6 @@ class TestShapePlan:
         assert plan.channels[0].stages["conv2"] == (64, 128)
         assert plan.output_shape == (64, 128)
 
-    def test_custom_strides_exposed(self):
-        plan = netplan.shape_plan(512, 512, 1, stage_strides=(2, 4, 8, 16))
-        assert plan.channels[0].stages["conv2"] == (256, 256)
-        assert plan.output_shape == (256, 256)
-
     def test_upsample_realizes_planned_fusion_inputs(self):
         # The deepest stage map, numerically up-sampled, must land on the
         # shape the plan promises for the first fusion's "^2" input.
