@@ -300,7 +300,7 @@ def _shape_from_filter(
     kept, adjacent = simplices[keep], _restrict(neighbors, keep)
     comp = _largest_component(adjacent, areas[keep])
     kept, adjacent = kept[comp], adjacent[comp]
-    coverage = len(np.unique(kept)) / len(pts)
+    coverage = np.count_nonzero(np.bincount(kept.ravel(), minlength=len(pts))) / len(pts)
 
     best: list[int] | None = None
     best_area = -1.0

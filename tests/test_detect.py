@@ -1,9 +1,13 @@
+import time
 import tracemalloc
 import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import textshape as ts
 from textshape import detect, evaluate, formats
@@ -35,6 +39,37 @@ def flood_fill_components(mask):
                         q.append((rr, cc))
             comps.append(frozenset(cells))
     return comps
+
+
+def assert_matches_oracle_order(mask, min_cells=1):
+    """extract_instances equals the flood fill's components of at least
+    min_cells, size descending with ties by first cell in raster order, each
+    in raster order, as (N, 2) intp arrays."""
+    want = [sorted(c) for c in flood_fill_components(mask) if len(c) >= min_cells]
+    want.sort(key=len, reverse=True)   # stable: ties keep the raster order
+    got = detect.extract_instances(mask, min_cells)
+    assert len(got) == len(want)
+    for comp, cells in zip(got, want):
+        assert comp.dtype == np.intp and comp.shape == (len(cells), 2)
+        assert comp.tolist() == [list(cell) for cell in cells]
+    return got
+
+
+def speckle_mask(shape, count, rng, avoid=None):
+    """count two-cell horizontal speckles, none touching another (or the
+    avoid window (r0, r1, c0, c1), grown by one cell)."""
+    h, w = shape
+    rr, cc = np.mgrid[0:h:3, 0:w - 1:4]
+    rr, cc = rr.ravel(), cc.ravel()
+    if avoid is not None:
+        r0, r1, c0, c1 = avoid
+        clear = (rr < r0 - 1) | (rr > r1) | (cc + 1 < c0 - 1) | (cc > c1)
+        rr, cc = rr[clear], cc[clear]
+    pick = rng.choice(len(rr), count, replace=False)
+    mask = np.zeros(shape, dtype=np.uint8)
+    mask[rr[pick], cc[pick]] = 1
+    mask[rr[pick], cc[pick] + 1] = 1
+    return mask
 
 
 def perfect_pred(ann, image_size, stride=1):
@@ -107,6 +142,76 @@ class TestExtractInstances:
 
     def test_empty_mask(self):
         assert detect.extract_instances(np.zeros((5, 5), dtype=np.uint8), 1) == []
+
+    def test_row_wrap_splits_components(self):
+        # (1, 4) and (2, 0) are consecutive flat indices but not neighbors
+        mask = np.zeros((4, 5), dtype=np.uint8)
+        mask[1, 3:] = 1
+        mask[2, :2] = 1
+        got = assert_matches_oracle_order(mask)
+        assert [c.tolist() for c in got] == [[[1, 3], [1, 4]], [[2, 0], [2, 1]]]
+
+    def test_diagonal_only_contact(self):
+        mask = (np.add.outer(np.arange(5), np.arange(6)) % 2 == 0).astype(np.uint8)
+        got = assert_matches_oracle_order(mask)
+        assert len(got) == 15 and all(len(c) == 1 for c in got)
+
+    def test_stacked_full_width_rows(self):
+        # rows 1-3 are one run of flat indices across three rows
+        mask = np.zeros((7, 6), dtype=np.uint8)
+        mask[1:4] = 1
+        mask[5] = 1
+        got = assert_matches_oracle_order(mask)
+        assert [len(c) for c in got] == [18, 6]
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+    def test_single_row_and_single_column(self, shape):
+        mask = np.array([1, 1, 0, 1, 0, 1, 1, 1, 0], dtype=np.uint8).reshape(shape)
+        got = assert_matches_oracle_order(mask)
+        assert [len(c) for c in got] == [3, 2, 1]
+        assert [len(c) for c in assert_matches_oracle_order(mask, 2)] == [3, 2]
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_all_positive_and_empty(self, fill):
+        mask = np.full((6, 8), fill, dtype=np.uint8)
+        got = assert_matches_oracle_order(mask)
+        assert len(got) == fill
+        assert assert_matches_oracle_order(mask, 49) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=16)),
+        min_cells=st.integers(1, 12),
+    )
+    def test_matches_oracle_order_property(self, mask, min_cells):
+        assert_matches_oracle_order(mask, min_cells)
+        assert_matches_oracle_order(mask.astype(np.uint8), min_cells)
+
+    def test_page_of_speckles_costs_only_its_cells(self):
+        rng = np.random.default_rng(7)
+        block = (260, 460, 240, 1040)
+        mask = speckle_mask((720, 1280), 3000, rng, avoid=block)
+        assert mask.sum() == 6000
+        r0, r1, c0, c1 = block
+        mask[r0:r1, c0:c1] = 1
+        t0 = time.perf_counter()
+        got = detect.extract_instances(mask, 64)
+        elapsed = time.perf_counter() - t0
+        rows, cols = np.mgrid[r0:r1, c0:c1]
+        want = np.stack([rows.ravel(), cols.ravel()], axis=1)
+        assert len(got) == 1
+        assert got[0].dtype == np.intp and np.array_equal(got[0], want)
+        assert elapsed < 1.0   # the per-component full-grid scan took ~8 s
+
+    def test_decode_of_speckles_alone_is_empty(self):
+        mask = speckle_mask((720, 1280), 3000, np.random.default_rng(8))
+        grid = RasterGrid.for_image(1280, 720, 1)
+        zeros = np.zeros(grid.shape)
+        pred = detect.PredictionRaster(grid=grid, prob=mask.astype(np.float64),
+                                       dist_x=zeros, dist_y=zeros)
+        diag = detect.DecodeDiagnostics()
+        assert detect.decode(pred, detect.DecodeConfig(), diag) == []
+        assert diag.components == 0 and diag.nonfinite == 0
 
 
 class TestBoundaryPoints:
@@ -398,6 +503,20 @@ class TestDecode:
         assert len(dets) == 1
         assert diag.nonfinite == 1
         assert ts.polygon_iou(dets[0].polygon, ann.polygon(), 256) >= 0.9
+
+    def test_nonfinite_column_cuts_the_instance_in_two(self):
+        ann = rect_annotation(10, 10, 200, 40)
+        pred = perfect_pred(ann, (240, 60))
+        cols = np.flatnonzero(pred.prob.any(axis=0))
+        cut = cols[len(cols) // 2]
+        pred.dist_x[:, cut] = np.nan
+        diag = detect.DecodeDiagnostics()
+        dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert diag.components == 2 and diag.rejected == 0 and len(dets) == 2
+        assert diag.nonfinite == int((pred.prob[:, cut] >= 0.5).sum()) > 0
+        left, right = sorted(dets, key=lambda d: d.polygon.vertices[:, 0].min())
+        x_cut = pred.grid.cell_centers(0, cut)[0]
+        assert left.polygon.vertices[:, 0].max() < x_cut < right.polygon.vertices[:, 0].min()
 
     def test_infinite_prob_cell_dropped_and_output_readable(self, tmp_path):
         ann = rect_annotation(10, 10, 120, 40)
