@@ -25,7 +25,6 @@ from .geom import (
     NormTransform,
     Polygon,
     alpha_shape,
-    denormalize_polygon,
     min_area_rect,
     normalize_points,
     polygon_iou,
@@ -52,7 +51,6 @@ __all__ = [
     "alpha_shape",
     "central_region_polygon",
     "decode",
-    "denormalize_polygon",
     "dice_loss",
     "encode",
     "evaluate_dataset",

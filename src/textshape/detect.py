@@ -1,12 +1,14 @@
 """Inverse pipeline: predicted central-region probabilities plus distance
 maps back to concave polygon detections.
 
-Steps: binarize the probability map and find its positive cells, which is
-the only full-grid work; group those cells into 4-connected instances from
-their horizontal runs; turn every cell into a boundary point (center +
-predicted offsets); then fit a concave polygon to the normalized points with
-an alpha shape and map it back to image scale. Past the threshold, cost
-follows the positive cells and the instances, not the grid.
+Steps: threshold the probability map and take the sorted flat indices of its
+positive cells, the only full-grid work and the one form the cells take from
+there on: drop those with a non-finite channel, group the rest into
+4-connected instances from their horizontal runs, and turn every cell into a
+boundary point (center + predicted offsets). Then fit a concave polygon to
+each instance's normalized points with an alpha shape and map it back to
+image scale. Past the threshold, cost follows the positive cells and the
+instances, not the grid.
 """
 
 from __future__ import annotations
@@ -109,39 +111,37 @@ class Detection:
 
 
 def binarize(prob: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Per-cell threshold: 1 iff prob >= threshold."""
+    """Per-cell threshold as a bool grid (True iff prob >= threshold); its
+    ``np.flatnonzero`` is the index list ``extract_instances`` groups."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    return (np.asarray(prob) >= threshold).astype(np.uint8)
+    return np.asarray(prob) >= threshold
 
 
-def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
-    """4-connected components as (N, 2) intp row/col index arrays.
+def extract_instances(pos: np.ndarray, width: int, min_cells: int = 1) -> list[np.ndarray]:
+    """4-connected components of the positive cells, as intp flat indices.
 
-    The mask is read once, to find its positive cells; the rest works on
-    those cells alone (run-based labelling, He, Chao & Suzuki, IEEE TIP
-    2008). Their sorted flat indices split into horizontal runs, each run is
-    linked to the runs of the next row that share a column with it, and the
-    connected components of that run graph are the instances. Runs are in
-    raster order, so components are numbered by their first cell in raster
-    order. Each component's cells are in raster order; the components are
-    sorted by size descending (that numbering breaks ties), and those
-    smaller than min_cells are dropped.
+    ``pos`` holds the ascending flat indices (row * width + col) of the
+    positive cells of a grid ``width`` cells wide; the grid itself is never
+    read (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008). The
+    indices split into horizontal runs, each run is linked to the runs of the
+    next row that share a column with it, and the connected components of
+    that run graph are the instances. Runs are in raster order, so
+    components are numbered by their first cell in raster order. Each
+    component's cells are in raster order; the components are sorted by size
+    descending (that numbering breaks ties), and those smaller than min_cells
+    are dropped.
     """
     from scipy.sparse import coo_matrix   # loaded on first decode, not at import
     from scipy.sparse.csgraph import connected_components
 
-    mask = np.asarray(mask)
-    pos = np.flatnonzero(mask if mask.dtype == bool else mask != 0)
     if len(pos) == 0:
         return []
-    width = mask.shape[1]
-    rows, cols = np.divmod(pos, width)
     # A run starts at the first cell, after a gap and at column 0.
     starts = np.empty(len(pos), dtype=bool)
     starts[0] = True
     np.not_equal(np.diff(pos), 1, out=starts[1:])
-    starts[1:] |= cols[1:] == 0
+    starts[1:] |= pos[1:] % width == 0
     first = np.flatnonzero(starts)
     length = np.diff(first, append=len(pos))
     head = pos[first]
@@ -161,7 +161,7 @@ def extract_instances(mask: np.ndarray, min_cells: int = 1) -> list[np.ndarray]:
     big = size >= min_cells
     if not big.any():
         return []
-    cells = np.stack([rows, cols], axis=1)
+    cells = pos
     if not big.all():
         keep = big[run_label]
         cells = cells[np.repeat(keep, length)]
@@ -202,25 +202,26 @@ def boundary_points(
 ) -> BoundaryPointSet:
     """Regress every component cell to its boundary point, then thin them.
 
-    Point = cell center + predicted (dx, dy). The points are snapped to a
-    square lattice of step max(0.5 px, alpha * extent / THIN_CELLS_PER_ALPHA),
-    where extent is the larger side of their bounding box, and the first
-    point of each lattice cell (in component order) is kept. Alpha is a
-    length in the unit square the extent maps to, so a lattice this much
-    finer than alpha keeps the alpha shape while Delaunay sees far fewer
-    points; instances under 0.5 * THIN_CELLS_PER_ALPHA / alpha px keep the
-    0.5 px step. An alpha above 1, the side of that square, thins as 1 does,
-    so the lattice never gets coarser than 1/THIN_CELLS_PER_ALPHA of the
-    extent. A point 2**62 lattice steps or more from the origin, which no
-    int64 lattice index holds, rejects the instance. The score is the mean
-    probability over the component's cells, clamped to [0, 1].
+    ``component`` is the cells' flat indices, as ``extract_instances``
+    returns them: they gather the prediction planes, and their rows and
+    columns give the cell centers. Point = cell center + predicted (dx, dy).
+    The points are snapped to a square lattice of step max(0.5 px, alpha *
+    extent / THIN_CELLS_PER_ALPHA), where extent is the larger side of their
+    bounding box, and the first point of each lattice cell (in component
+    order) is kept. Alpha is a length in the unit square the extent maps to,
+    so a lattice this much finer than alpha keeps the alpha shape while
+    Delaunay sees far fewer points; instances under 0.5 *
+    THIN_CELLS_PER_ALPHA / alpha px keep the 0.5 px step. An alpha above 1,
+    the side of that square, thins as 1 does, so the lattice never gets
+    coarser than 1/THIN_CELLS_PER_ALPHA of the extent. A point 2**62 lattice
+    steps or more from the origin, which no int64 lattice index holds,
+    rejects the instance. The score is the mean probability over the
+    component's cells, clamped to [0, 1].
     """
-    rows, cols = component[:, 0], component[:, 1]
-    centers = pred.grid.cell_centers(rows, cols)
-    flat = rows * pred.grid.width + cols
-    x = centers[:, 0] + pred.dist_x.ravel()[flat]
-    y = centers[:, 1] + pred.dist_y.ravel()[flat]
-    score = float(np.clip(pred.prob.ravel()[flat].mean(), 0.0, 1.0))
+    centers = pred.grid.cell_centers(*np.divmod(component, pred.grid.width))
+    x = centers[:, 0] + pred.dist_x.ravel()[component]
+    y = centers[:, 1] + pred.dist_y.ravel()[component]
+    score = float(np.clip(pred.prob.ravel()[component].mean(), 0.0, 1.0))
 
     # Python floats: a span beyond the float64 range is inf, without a warning
     x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
@@ -249,12 +250,12 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
     try:
         norm_pts, norm = geom.normalize_points(points.points)
         inner = None
-        if points.sources is not None:
+        if points.sources is not None:   # probes picked before normalizing, to bound its work
             inner = norm.apply(geom.containment_probes(points.sources))
         poly_n = geom.alpha_shape_with_fallback(norm_pts, alpha, must_contain=inner)
     except geom.DegenerateInputError as exc:
         raise InstanceRejected(str(exc)) from exc
-    poly = geom.denormalize_polygon(poly_n, norm)
+    poly = geom.Polygon(norm.invert(poly_n.vertices))
     if not np.abs(poly.vertices).max() <= geom.MAX_COORD:   # the detection reader's bound
         raise InstanceRejected(f"a vertex exceeds {geom.MAX_COORD:g} in magnitude")
     return Detection(polygon=poly, score=points.score)
@@ -287,13 +288,12 @@ def decode(
     get counts. Detections come back sorted by score descending (stable).
     """
     cfg = cfg or DecodeConfig()
-    mask = binarize(pred.prob, cfg.prob_threshold).view(bool)   # 0/1 bytes
-    pos = np.flatnonzero(mask)   # only positive cells are ever read
-    finite = np.ones(len(pos), dtype=bool)
-    for plane in (pred.prob, pred.dist_x, pred.dist_y):
+    pos = np.flatnonzero(binarize(pred.prob, cfg.prob_threshold))   # only these cells are read
+    finite = np.isfinite(pred.prob.ravel()[pos])
+    for plane in (pred.dist_x, pred.dist_y):
         finite &= np.isfinite(plane.ravel()[pos])
-    mask.flat[pos[~finite]] = False
-    comps = extract_instances(mask, cfg.resolved_min_cells(pred.grid.stride))
+    min_cells = cfg.resolved_min_cells(pred.grid.stride)
+    comps = extract_instances(pos[finite], pred.grid.width, min_cells)
     diag = diagnostics if diagnostics is not None else DecodeDiagnostics()
     diag.nonfinite = len(pos) - int(finite.sum())
     diag.components = len(comps)

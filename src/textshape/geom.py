@@ -23,7 +23,7 @@ MAX_COORD = 1e15
 LADDER_DOUBLINGS = 4
 MIN_COVERAGE = 0.98
 MIN_CONTAINMENT = 0.9
-MAX_CONTAINMENT_PROBES = 512   # must_contain points tested, at most
+MAX_CONTAINMENT_PROBES = 512   # containment_probes keeps at most this many points
 
 
 class DegenerateInputError(ValueError):
@@ -338,7 +338,7 @@ def alpha_shape(points, alpha: float) -> Polygon:
 
 
 def containment_probes(points: np.ndarray) -> np.ndarray:
-    """The rows the alpha ladder's containment test uses: every
+    """The rows to pass as the alpha ladder's ``must_contain``: every
     (n // MAX_CONTAINMENT_PROBES + 1)-th of n, so at most
     MAX_CONTAINMENT_PROBES; all of them when n is no larger.
     """
@@ -354,18 +354,19 @@ def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygo
     so an attempt is accepted only when its component covers at least
     MIN_COVERAGE of them and, when ``must_contain`` points are given (the
     central-region cell centers the points were regressed from), contains
-    at least MIN_CONTAINMENT of those. Empty, fragmented or non-enclosing
-    results (corner slivers at a small alpha, or the open band a noisy ring
-    collapses to) retry with alpha doubled up to LADDER_DOUBLINGS times.
-    The convex hull is the final fallback, so every non-degenerate point
-    set yields a polygon.
+    at least MIN_CONTAINMENT of those. Every given point is tested, so pick
+    them with :func:`containment_probes` to bound that work. Empty,
+    fragmented or non-enclosing results (corner slivers at a small alpha, or
+    the open band a noisy ring collapses to) retry with alpha doubled up to
+    LADDER_DOUBLINGS times. The convex hull is the final fallback, so every
+    non-degenerate point set yields a polygon.
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     pts, simplices, neighbors, radii, areas = _delaunay_raw(points, joggle=True)
     inner = None
     if must_contain is not None and len(must_contain):
-        inner = containment_probes(as_points(must_contain))
+        inner = as_points(must_contain)
     a = alpha
     for _ in range(LADDER_DOUBLINGS + 1):
         try:
@@ -472,19 +473,15 @@ def normalize_points(points) -> tuple[np.ndarray, NormTransform]:
     return t.apply(pts), t
 
 
-def denormalize_polygon(poly: Polygon, t: NormTransform) -> Polygon:
-    """Map a polygon in normalized coordinates back to the original scale."""
-    return Polygon(t.invert(poly.vertices))
-
-
 def min_area_rect(poly: Polygon | np.ndarray) -> Polygon:
     """Minimum-area oriented rectangle enclosing a polygon.
 
-    Rotating calipers over the convex hull: the optimal rectangle shares a
-    direction with some hull edge. Matrix products, each over a bounded chunk
-    of directions, project the hull onto every edge direction and its normal;
-    the first direction whose area beats the best so far by more than 1e-12
-    wins.
+    The optimal rectangle shares a direction with some hull edge, so every
+    edge direction is tried: matrix products, each over a bounded chunk of
+    directions, project the whole hull onto every edge direction and its
+    normal, which is O(H^2) in the hull size H (rotating calipers would be
+    O(H)). The first direction whose area beats the best so far by more
+    than 1e-12 wins.
     """
     vertices = poly.vertices if isinstance(poly, Polygon) else as_points(poly)
     hull = convex_hull(vertices)

@@ -18,12 +18,10 @@ from .labels import LabelRaster
 @dataclass
 class LossConfig:
     lam: float = 1.0
-    dice_epsilon: float = 1.0
-    smooth_l1_delta: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.dice_epsilon <= 0 or self.smooth_l1_delta <= 0:
-            raise ValueError("loss parameters must be positive")
+        if not self.lam > 0:   # NaN fails too
+            raise ValueError(f"lam must be positive, got {self.lam}")
 
 
 @dataclass
@@ -130,11 +128,9 @@ def multitask_loss(
 ) -> LossReport:
     """Combined classification + regression loss against a label raster."""
     cfg = cfg or LossConfig()
-    cls, grad_prob = dice_loss(pred_prob, labels.mask, labels.ignore_mask, cfg.dice_epsilon)
+    cls, grad_prob = dice_loss(pred_prob, labels.mask, labels.ignore_mask)
     region = (labels.mask == 1) & (labels.ignore_mask == 0)
-    reg, gx, gy = reg_loss(
-        pred_x, pred_y, labels.dist_x, labels.dist_y, region, cfg.smooth_l1_delta
-    )
+    reg, gx, gy = reg_loss(pred_x, pred_y, labels.dist_x, labels.dist_y, region)
     return LossReport(
         total=total_loss(cls, reg, cfg.lam),
         cls=cls,

@@ -17,6 +17,8 @@ from .labels import AnnotationPolygon
 
 MARGIN = 24.0
 ARC_SAMPLES = 7   # vertices per arc chain
+PAIR_HEIGHT = 40.0     # separated_pair: line height
+PAIR_GAP_RATIO = 0.6   # separated_pair: gap between the lines, in line heights
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,11 @@ def roundtrip_suite() -> list[SynthInstance]:
     return out
 
 
-def separated_pair(
-    gap_ratio: float = 0.6, height: float = 40.0
-) -> tuple[list[AnnotationPolygon], tuple[int, int]]:
-    """Two parallel lines separated by gap_ratio * height in one image."""
-    w = 8.0 * height
-    a = rect_annotation(MARGIN, MARGIN, w, height)
-    b = rect_annotation(MARGIN, MARGIN + height * (1.0 + gap_ratio), w, height)
+def separated_pair() -> tuple[list[AnnotationPolygon], tuple[int, int]]:
+    """Two parallel lines separated by PAIR_GAP_RATIO * PAIR_HEIGHT in one image."""
+    w = 8.0 * PAIR_HEIGHT
+    a = rect_annotation(MARGIN, MARGIN, w, PAIR_HEIGHT)
+    b = rect_annotation(MARGIN, MARGIN + PAIR_HEIGHT * (1.0 + PAIR_GAP_RATIO), w, PAIR_HEIGHT)
     img_w = int(math.ceil(MARGIN * 2 + w))
-    img_h = int(math.ceil(MARGIN * 2 + height * (2.0 + gap_ratio)))
+    img_h = int(math.ceil(MARGIN * 2 + PAIR_HEIGHT * (2.0 + PAIR_GAP_RATIO)))
     return [a, b], (img_w, img_h)

@@ -41,17 +41,29 @@ def flood_fill_components(mask):
     return comps
 
 
+def instances(mask, min_cells=1):
+    """extract_instances on a 2-D mask: its positive cells' flat indices and
+    its width go in, components of flat indices come out."""
+    mask = np.asarray(mask)
+    return detect.extract_instances(np.flatnonzero(mask), mask.shape[1], min_cells)
+
+
+def row_col(comp, width):
+    """A component's flat cell indices as (N, 2) row/col pairs."""
+    return np.stack(np.divmod(comp, width), axis=1)
+
+
 def assert_matches_oracle_order(mask, min_cells=1):
     """extract_instances equals the flood fill's components of at least
     min_cells, size descending with ties by first cell in raster order, each
-    in raster order, as (N, 2) intp arrays."""
+    in raster order, as 1-D intp arrays of flat indices."""
     want = [sorted(c) for c in flood_fill_components(mask) if len(c) >= min_cells]
     want.sort(key=len, reverse=True)   # stable: ties keep the raster order
-    got = detect.extract_instances(mask, min_cells)
+    got = instances(mask, min_cells)
     assert len(got) == len(want)
     for comp, cells in zip(got, want):
-        assert comp.dtype == np.intp and comp.shape == (len(cells), 2)
-        assert comp.tolist() == [list(cell) for cell in cells]
+        assert comp.dtype == np.intp and comp.shape == (len(cells),)
+        assert row_col(comp, mask.shape[1]).tolist() == [list(cell) for cell in cells]
     return got
 
 
@@ -88,9 +100,10 @@ class TestBinarize:
     def test_matches_per_cell_comparison(self, rng):
         prob = rng.random((50, 70))
         out = detect.binarize(prob, 0.37)
+        assert out.dtype == bool
         for r in range(0, 50, 7):
             for c in range(0, 70, 11):
-                assert out[r, c] == (1 if prob[r, c] >= 0.37 else 0)
+                assert out[r, c] == (prob[r, c] >= 0.37)
 
     def test_threshold_range_enforced(self):
         with pytest.raises(ValueError):
@@ -102,46 +115,46 @@ class TestExtractInstances:
         mask = np.zeros((10, 20), dtype=np.uint8)
         mask[2:5, 2:8] = 1
         mask[6:9, 12:18] = 1
-        comps = detect.extract_instances(mask, min_cells=1)
+        comps = instances(mask)
         assert len(comps) == 2
 
     def test_diagonal_blobs_are_separate(self):
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[0:2, 0:2] = 1
         mask[2:4, 2:4] = 1
-        assert len(detect.extract_instances(mask, min_cells=1)) == 2
+        assert len(instances(mask)) == 2
 
     def test_matches_flood_fill_oracle(self, rng):
         mask = (rng.random((300, 300)) < 0.45).astype(np.uint8)
-        got = {frozenset(map(tuple, comp.tolist())) for comp in detect.extract_instances(mask, 1)}
+        got = {frozenset(map(tuple, row_col(comp, 300).tolist())) for comp in instances(mask)}
         want = set(flood_fill_components(mask))
         assert got == want
         # Many components: also their order (size descending, then by first
         # cell in raster order) and each one's cells in raster order.
         mask = (rng.random((60, 80)) < 0.3).astype(np.uint8)
-        got = detect.extract_instances(mask, 1)
+        got = instances(mask)
         want = sorted((sorted(c) for c in flood_fill_components(mask)), key=len, reverse=True)
         assert len(got) == len(want) > 100
         for comp, cells in zip(got, want):
-            assert comp.dtype == np.intp and comp.shape == (len(cells), 2)
-            assert comp.tolist() == [list(cell) for cell in cells]
+            assert comp.dtype == np.intp and comp.shape == (len(cells),)
+            assert row_col(comp, 80).tolist() == [list(cell) for cell in cells]
 
     def test_small_components_dropped(self):
         mask = np.zeros((10, 10), dtype=np.uint8)
         mask[0, 0] = 1
         mask[5:8, 5:8] = 1
-        comps = detect.extract_instances(mask, min_cells=4)
+        comps = instances(mask, min_cells=4)
         assert len(comps) == 1 and len(comps[0]) == 9
 
     def test_sorted_by_size_descending(self):
         mask = np.zeros((10, 30), dtype=np.uint8)
         mask[1:3, 1:4] = 1
         mask[5:9, 10:20] = 1
-        comps = detect.extract_instances(mask, 1)
+        comps = instances(mask)
         assert len(comps[0]) >= len(comps[1])
 
     def test_empty_mask(self):
-        assert detect.extract_instances(np.zeros((5, 5), dtype=np.uint8), 1) == []
+        assert instances(np.zeros((5, 5), dtype=np.uint8)) == []
 
     def test_row_wrap_splits_components(self):
         # (1, 4) and (2, 0) are consecutive flat indices but not neighbors
@@ -149,7 +162,7 @@ class TestExtractInstances:
         mask[1, 3:] = 1
         mask[2, :2] = 1
         got = assert_matches_oracle_order(mask)
-        assert [c.tolist() for c in got] == [[[1, 3], [1, 4]], [[2, 0], [2, 1]]]
+        assert [row_col(c, 5).tolist() for c in got] == [[[1, 3], [1, 4]], [[2, 0], [2, 1]]]
 
     def test_diagonal_only_contact(self):
         mask = (np.add.outer(np.arange(5), np.arange(6)) % 2 == 0).astype(np.uint8)
@@ -185,7 +198,6 @@ class TestExtractInstances:
     )
     def test_matches_oracle_order_property(self, mask, min_cells):
         assert_matches_oracle_order(mask, min_cells)
-        assert_matches_oracle_order(mask.astype(np.uint8), min_cells)
 
     def test_page_of_speckles_costs_only_its_cells(self):
         rng = np.random.default_rng(7)
@@ -195,12 +207,12 @@ class TestExtractInstances:
         r0, r1, c0, c1 = block
         mask[r0:r1, c0:c1] = 1
         t0 = time.perf_counter()
-        got = detect.extract_instances(mask, 64)
+        got = instances(mask, 64)
         elapsed = time.perf_counter() - t0
         rows, cols = np.mgrid[r0:r1, c0:c1]
         want = np.stack([rows.ravel(), cols.ravel()], axis=1)
         assert len(got) == 1
-        assert got[0].dtype == np.intp and np.array_equal(got[0], want)
+        assert got[0].dtype == np.intp and np.array_equal(row_col(got[0], 1280), want)
         assert elapsed < 1.0   # the per-component full-grid scan took ~8 s
 
     def test_decode_of_speckles_alone_is_empty(self):
@@ -218,7 +230,7 @@ class TestBoundaryPoints:
     def test_perfect_rectangle_points_on_boundary(self):
         ann = rect_annotation(20, 20, 160, 40)
         pred = perfect_pred(ann, (200, 80))
-        comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+        comp = instances(detect.binarize(pred.prob))[0]
         bp = detect.boundary_points(comp, pred)
         ring = ann.closed_vertices()
         samples = boundary_samples(ring, 20000)
@@ -233,9 +245,9 @@ class TestBoundaryPoints:
         pred = detect.PredictionRaster(
             grid=grid, prob=prob, dist_x=np.zeros((10, 10)), dist_y=np.zeros((10, 10))
         )
-        comp = detect.extract_instances(detect.binarize(prob), 1)[0]
+        comp = instances(detect.binarize(prob))[0]
         bp = detect.boundary_points(comp, pred, min_points=1)
-        centers = grid.cell_centers(comp[:, 0], comp[:, 1])
+        centers = grid.cell_centers(*np.divmod(comp, 10))
         assert sorted(map(tuple, bp.points.tolist())) == sorted(map(tuple, centers.tolist()))
 
     def test_min_points_rejection(self):
@@ -245,7 +257,7 @@ class TestBoundaryPoints:
         pred = detect.PredictionRaster(
             grid=grid, prob=prob, dist_x=np.zeros((10, 10)), dist_y=np.zeros((10, 10))
         )
-        comp = detect.extract_instances(detect.binarize(prob), 1)[0]
+        comp = instances(detect.binarize(prob))[0]
         with pytest.raises(detect.InstanceRejected):
             detect.boundary_points(comp, pred, min_points=8)
 
@@ -258,7 +270,7 @@ class TestBoundaryPoints:
         dist_x = (targets - (cols + 0.5)).reshape(1, 10)
         dist_y = np.zeros((1, 10))
         pred = detect.PredictionRaster(grid=grid, prob=prob, dist_x=dist_x, dist_y=dist_y)
-        comp = detect.extract_instances(detect.binarize(prob), 1)[0]
+        comp = instances(detect.binarize(prob))[0]
         bp = detect.boundary_points(comp, pred, min_points=1)
         assert len(bp.points) == 2
 
@@ -268,14 +280,14 @@ class TestBoundaryPoints:
         pred = detect.PredictionRaster(
             grid=grid, prob=prob, dist_x=np.zeros((1, 4)), dist_y=np.zeros((1, 4))
         )
-        comp = np.array([[0, 0], [0, 1], [0, 2]])
+        comp = np.array([0, 1, 2])
         bp = detect.boundary_points(comp, pred, min_points=1)
         assert bp.score == pytest.approx((0.6 + 0.8 + 1.0) / 3)
 
 
 def regressed_points(comp, pred):
     """Cell center + predicted offset for each component cell, in order."""
-    rows, cols = comp[:, 0], comp[:, 1]
+    rows, cols = np.divmod(comp, pred.grid.width)
     return pred.grid.cell_centers(rows, cols) + np.stack(
         [pred.dist_x[rows, cols], pred.dist_y[rows, cols]], axis=1
     )
@@ -295,7 +307,7 @@ def first_per_cell(pts, step):
 
 def noisy_component(ann, size, sigma=1.0, seed=3):
     pred = detect.add_distance_noise(perfect_pred(ann, size), sigma, seed)
-    comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+    comp = instances(detect.binarize(pred.prob))[0]
     return comp, pred
 
 
@@ -373,13 +385,14 @@ class TestThinning:
             grid=grid, prob=prob,
             dist_x=rng.uniform(-2e10, 2e10, (40, 40)), dist_y=rng.uniform(-2e10, 2e10, (40, 40)),
         )
-        comp = detect.extract_instances(detect.binarize(prob), 1)[0]
+        comp = instances(detect.binarize(prob))[0]
         pts = regressed_points(comp, pred)
         step, cells = self.lattice(pts, 1e-12)
         assert step == 0.5 and cells >= 2**63
         # the first two cells regress onto the third cell's point
-        pred.dist_x[comp[:2, 0], comp[:2, 1]] = pts[2, 0] - (comp[:2, 1] + 0.5)
-        pred.dist_y[comp[:2, 0], comp[:2, 1]] = pts[2, 1] - (comp[:2, 0] + 0.5)
+        rows, cols = np.divmod(comp[:2], 40)
+        pred.dist_x[rows, cols] = pts[2, 0] - (cols + 0.5)
+        pred.dist_y[rows, cols] = pts[2, 1] - (rows + 0.5)
         bp = detect.boundary_points(comp, pred, alpha=1e-12)
         assert np.array_equal(bp.points, first_per_cell(regressed_points(comp, pred), step))
         assert len(bp.points) == len(comp) - 2
@@ -392,7 +405,7 @@ class TestThinning:
             pred.dist_x[pos] += 1e20
         else:                  # points at +-1.7e308: their span overflows float64
             pred.dist_x[pos] = np.where(np.arange(pos.sum()) % 2, 1.7e308, -1.7e308)
-        comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+        comp = instances(detect.binarize(pred.prob))[0]
         diag = detect.DecodeDiagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -480,7 +493,7 @@ class TestDecode:
         diag = detect.DecodeDiagnostics()
         dets = detect.decode(pred, detect.DecodeConfig(), diag)
         assert len(dets) == 1
-        comp = detect.extract_instances(detect.binarize(pred.prob), 1)[0]
+        comp = instances(detect.binarize(pred.prob))[0]
         kept = detect.boundary_points(comp, pred, alpha=detect.DEFAULT_ALPHA).points
         assert (diag.cells, diag.points) == (len(comp), len(kept)) == (6000, 532)
 
@@ -517,6 +530,21 @@ class TestDecode:
         left, right = sorted(dets, key=lambda d: d.polygon.vertices[:, 0].min())
         x_cut = pred.grid.cell_centers(0, cut)[0]
         assert left.polygon.vertices[:, 0].max() < x_cut < right.polygon.vertices[:, 0].min()
+
+    def test_nan_at_every_negative_cell_changes_nothing(self):
+        pred = perfect_pred(rect_annotation(10, 10, 120, 40), (140, 60))
+        clean = detect.decode(pred, detect.DecodeConfig())
+        negative = pred.prob < 0.5
+        for plane in (pred.prob, pred.dist_x, pred.dist_y):
+            plane[negative] = np.nan
+        diag = detect.DecodeDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = detect.decode(pred, detect.DecodeConfig(), diag)
+        assert diag.nonfinite == 0 and len(dets) == len(clean) == 1
+        for got, want in zip(dets, clean):
+            assert got.polygon.vertices.tobytes() == want.polygon.vertices.tobytes()
+            assert got.score == want.score
 
     def test_infinite_prob_cell_dropped_and_output_readable(self, tmp_path):
         ann = rect_annotation(10, 10, 120, 40)
@@ -587,7 +615,7 @@ class TestDecode:
             assert x.score == y.score
 
     def test_separated_pair_counts(self):
-        anns, size = separated_pair(gap_ratio=0.6)
+        anns, size = separated_pair()
         grid = RasterGrid.for_image(*size, 1)
         pred = detect.PredictionRaster.from_label(ts.encode(anns, grid))
         dets = detect.decode(pred, detect.DecodeConfig())

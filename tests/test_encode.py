@@ -201,7 +201,7 @@ class TestEncode:
         assert np.all(raster.dist_y[off] == 0)
 
     def test_separated_pair_disjoint_components(self):
-        anns, (w, h) = separated_pair(gap_ratio=0.6)
+        anns, (w, h) = separated_pair()
         raster = enc.encode(anns, enc.RasterGrid.for_image(w, h, 1))
         from scipy import ndimage
 

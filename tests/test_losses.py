@@ -187,5 +187,6 @@ class TestMultitask:
             assert rep.grad_prob.shape == label.mask.shape
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            losses.LossConfig(lam=0.0)
+        for lam in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                losses.LossConfig(lam=lam)

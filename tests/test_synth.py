@@ -42,7 +42,7 @@ def test_arc_rejects_vanishing_inner_radius():
 
 
 def test_separated_pair_geometry():
-    anns, (w, h) = separated_pair(gap_ratio=0.6, height=40)
+    anns, (w, h) = separated_pair()
     assert len(anns) == 2
     top = anns[0].closed_vertices()[:, 1].max()
     bottom = anns[1].closed_vertices()[:, 1].min()
