@@ -55,6 +55,9 @@ class DecodeConfig:
 
 @dataclass
 class DecodeDiagnostics:
+    """Decode counters. Every decode adds to them, so one object passed to
+    several decodes holds their sums."""
+
     components: int = 0
     rejected: int = 0
     nonfinite: int = 0   # positive cells dropped for an inf prob or a NaN/inf distance
@@ -285,7 +288,8 @@ def decode(
 
     Positive cells with a non-finite prob or distance are dropped before
     grouping, and rejected instances are dropped; pass a DecodeDiagnostics to
-    get counts. Detections come back sorted by score descending (stable).
+    add this call's counts to it. Detections come back sorted by score
+    descending (stable).
     """
     cfg = cfg or DecodeConfig()
     pos = np.flatnonzero(binarize(pred.prob, cfg.prob_threshold))   # only these cells are read
@@ -295,8 +299,8 @@ def decode(
     min_cells = cfg.resolved_min_cells(pred.grid.stride)
     comps = extract_instances(pos[finite], pred.grid.width, min_cells)
     diag = diagnostics if diagnostics is not None else DecodeDiagnostics()
-    diag.nonfinite = len(pos) - int(finite.sum())
-    diag.components = len(comps)
+    diag.nonfinite += len(pos) - int(finite.sum())
+    diag.components += len(comps)
 
     dets = []
     for comp in comps:

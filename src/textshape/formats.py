@@ -317,13 +317,7 @@ def _read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         raise RasterFormatError(
             f"truncated payload, expected {24 + channels * size} bytes, got {24 + len(blob)}"
         )
-    planes = []
-    off = 0
-    for _ in range(channels):
-        planes.append(
-            np.frombuffer(blob[off : off + size], dtype="<f4").reshape(height, width).copy()
-        )
-        off += size
+    planes = np.frombuffer(blob, dtype="<f4").reshape(channels, height, width).copy()
     if channels == 4:
         flags = []
         for plane in (planes[0], planes[3]):

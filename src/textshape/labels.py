@@ -84,27 +84,20 @@ def split_sides(vertices) -> AnnotationPolygon:
     return AnnotationPolygon.make(pts[:half], pts[half:][::-1])
 
 
-def _zip_edges(ann: AnnotationPolygon) -> list[tuple[int, int]]:
-    """Connecting edges (upper_idx, lower_idx) of the zip triangulation.
+def _zip_edges(ann: AnnotationPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Connecting edges of the zip triangulation, as ``(upper_idx, lower_idx)``
+    index arrays that start at (0, 0) and advance one chain per edge.
 
     Chains are merged by normalized arc length, so every triangle straddles
-    the two chains and the construction is reproducible.
+    the two chains and the construction is reproducible. A stable sort of
+    the two ascending parameter lists is their merge, upper first on ties.
     """
     tu = _arc_params(ann.upper)
     tl = _arc_params(ann.lower)
-    iu = il = 0
-    edges = [(0, 0)]
-    while iu < len(tu) - 1 or il < len(tl) - 1:
-        if iu == len(tu) - 1:
-            il += 1
-        elif il == len(tl) - 1:
-            iu += 1
-        elif tu[iu + 1] <= tl[il + 1]:
-            iu += 1
-        else:
-            il += 1
-        edges.append((iu, il))
-    return edges
+    upper_step = np.argsort(np.concatenate([tu[1:], tl[1:]]), kind="stable") < len(tu) - 1
+    iu = np.concatenate([[0], np.cumsum(upper_step)])
+    il = np.concatenate([[0], np.cumsum(~upper_step)])
+    return iu, il
 
 
 def _arc_params(chain: np.ndarray) -> np.ndarray:
@@ -123,19 +116,15 @@ def central_region_polygon(ann: AnnotationPolygon) -> Polygon:
     region closes); the result is strictly inside the annotation and smaller
     than it, which keeps neighboring instances separable.
     """
-    upper_side = []
-    lower_side = []
-    for iu, il in _zip_edges(ann):
-        u = ann.upper[iu]
-        v = ann.lower[il] - u
-        if np.hypot(*v) <= 1e-9:
-            continue
-        upper_side.append(u + SHRINK * v)
-        lower_side.append(u + (1.0 - SHRINK) * v)
-    ring = upper_side + lower_side[::-1]
+    iu, il = _zip_edges(ann)
+    u = ann.upper[iu]
+    v = ann.lower[il] - u
+    keep = np.hypot(v[:, 0], v[:, 1]) > 1e-9
+    u, v = u[keep], v[keep]
+    ring = np.vstack([u + SHRINK * v, (u + (1.0 - SHRINK) * v)[::-1]])
     if len(ring) < 3:
         raise MalformedAnnotationError("central region degenerates to fewer than 3 vertices")
-    return Polygon.make(np.array(ring))
+    return Polygon.make(ring)
 
 
 @dataclass(frozen=True)
@@ -169,10 +158,11 @@ class RasterGrid:
         return (self.height, self.width)
 
     def cell_centers(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Image coordinates of cell centers for (row, col) index arrays."""
+        """Image coordinates of cell centers for (row, col) index arrays,
+        which broadcast against each other."""
         x = (np.asarray(cols) + 0.5) * self.stride
         y = (np.asarray(rows) + 0.5) * self.stride
-        return np.stack([x, y], axis=-1)
+        return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
 @dataclass
@@ -210,21 +200,20 @@ class LabelRaster:
 
 
 def _region_cells(poly: Polygon, grid: RasterGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of grid cells whose centers fall inside the polygon."""
+    """Flat indices (row * width + col) and (N, 2) centers of the grid cells
+    whose centers fall inside the polygon, in raster order."""
     x0, y0, x1, y1 = poly.bounds()
     c0 = max(0, int(np.floor(x0 / grid.stride - 0.5)))
     c1 = min(grid.width - 1, int(np.ceil(x1 / grid.stride - 0.5)))
     r0 = max(0, int(np.floor(y0 / grid.stride - 0.5)))
     r1 = min(grid.height - 1, int(np.ceil(y1 / grid.stride - 0.5)))
     if c1 < c0 or r1 < r0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    centers = np.empty((r1 - r0 + 1, c1 - c0 + 1, 2))
-    centers[..., 0] = (np.arange(c0, c1 + 1) + 0.5) * grid.stride
-    centers[..., 1] = (np.arange(r0, r1 + 1)[:, None] + 0.5) * grid.stride
-    inside = np.flatnonzero(point_in_polygon(centers.reshape(-1, 2), poly.vertices))
+        return np.empty(0, dtype=np.int64), np.empty((0, 2))
+    centers = grid.cell_centers(np.arange(r0, r1 + 1)[:, None], np.arange(c0, c1 + 1))
+    centers = centers.reshape(-1, 2)
+    inside = np.flatnonzero(point_in_polygon(centers, poly.vertices))
     rows, cols = np.divmod(inside, c1 - c0 + 1)
-    return rows + r0, cols + c0
+    return (rows + r0) * grid.width + cols + c0, centers[inside]
 
 
 def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaster:
@@ -244,18 +233,15 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
 
     for ann in annotations:
         if ann.ignore:
-            rows, cols = _region_cells(ann.polygon(), grid)
-            out.ignore_mask.ravel()[rows * grid.width + cols] = 1
+            flat, _ = _region_cells(ann.polygon(), grid)
+            out.ignore_mask.ravel()[flat] = 1
             continue
         stats.instances += 1
-        central = central_region_polygon(ann)
-        rows, cols = _region_cells(central, grid)
-        if len(rows) == 0:
+        flat, centers = _region_cells(central_region_polygon(ann), grid)
+        if len(flat) == 0:
             continue
-        centers = grid.cell_centers(rows, cols)
         feet, dist = nearest_boundary_points(centers, ann.closed_vertices())
 
-        flat = rows * grid.width + cols
         occupied = mask[flat] == 1
         stats.conflict_cells += int(occupied.sum())
         claim = ~occupied

@@ -65,8 +65,8 @@ def shape_plan(height: int, width: int, n_channels: int = 2) -> ShapePlan:
 
     Raises ShapePlanError for a size below 1, for more channels than the
     larger side has bits (channel k's stride is at least 2**k, so no stride
-    could divide the input), and otherwise naming the first stage whose
-    stride does not divide the input.
+    could divide the input), and otherwise naming the deepest stage, whose
+    stride must divide the input.
     """
     if height < 1 or width < 1:
         raise ShapePlanError(f"height and width must be at least 1, got {height}x{width}")
@@ -77,15 +77,14 @@ def shape_plan(height: int, width: int, n_channels: int = 2) -> ShapePlan:
             f"{n_channels} channels down-sample {height}x{width} below one cell"
         )
 
-    # Deepest stage first, so the error names the binding constraint.
-    for k in reversed(range(n_channels)):
-        for name, s in zip(reversed(STAGE_NAMES), reversed(STAGE_STRIDES)):
-            overall = s * (1 << k)
-            if height % overall or width % overall:
-                raise ShapePlanError(
-                    f"channel {k + 1} {name} requires divisibility by {overall}, "
-                    f"got {height}x{width}"
-                )
+    # Every overall stride STAGE_STRIDES[j] << k is a power of two, so the
+    # deepest one divides the input only if all the others do.
+    overall = STAGE_STRIDES[-1] << (n_channels - 1)
+    if height % overall or width % overall:
+        raise ShapePlanError(
+            f"channel {n_channels} {STAGE_NAMES[-1]} requires divisibility by {overall}, "
+            f"got {height}x{width}"
+        )
 
     channels = []
     by_scale: dict[int, list[tuple[str, tuple[int, int]]]] = {}

@@ -106,6 +106,40 @@ def zip_triangles(upper, lower, edges) -> list[np.ndarray]:
     return tris
 
 
+def sequential_zip_edges(tu, tl) -> list[tuple[int, int]]:
+    """Zip edges ``(upper_idx, lower_idx)`` by a step-by-step merge of two
+    ascending arc-length parameter lists, the upper chain first on ties."""
+    iu = il = 0
+    edges = [(0, 0)]
+    while iu < len(tu) - 1 or il < len(tl) - 1:
+        if iu == len(tu) - 1:
+            il += 1
+        elif il == len(tl) - 1:
+            iu += 1
+        elif tu[iu + 1] <= tl[il + 1]:
+            iu += 1
+        else:
+            il += 1
+        edges.append((iu, il))
+    return edges
+
+
+def sequential_central_ring(upper, lower, edges, shrink) -> np.ndarray:
+    """Central-region ring built point by point: along each zip edge longer
+    than 1e-9, the points at ``shrink`` from either end; upper side first,
+    then the lower side reversed."""
+    upper_side = []
+    lower_side = []
+    for iu, il in edges:
+        u = upper[iu]
+        v = lower[il] - u
+        if np.hypot(*v) <= 1e-9:
+            continue
+        upper_side.append(u + shrink * v)
+        lower_side.append(u + (1.0 - shrink) * v)
+    return np.array(upper_side + lower_side[::-1]).reshape(-1, 2)
+
+
 def point_major_nearest_boundary(points, vertices):
     """Reference nearest-boundary search, laid out points x edges.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -496,6 +497,23 @@ class TestDecode:
         comp = instances(detect.binarize(pred.prob))[0]
         kept = detect.boundary_points(comp, pred, alpha=detect.DEFAULT_ALPHA).points
         assert (diag.cells, diag.points) == (len(comp), len(kept)) == (6000, 532)
+
+    def test_diagnostics_add_up_over_decodes(self):
+        nan_cell = perfect_pred(rect_annotation(10, 10, 120, 40), (140, 60))
+        rows, cols = np.nonzero(nan_cell.prob)
+        nan_cell.dist_x[rows[7], cols[7]] = np.nan
+        rejected = perfect_pred(rect_annotation(10, 10, 120, 40), (140, 60))
+        rejected.dist_x *= 1e15   # a vertex beyond MAX_COORD
+        rejected.dist_y *= 1e15
+        fresh = []
+        shared = detect.DecodeDiagnostics()
+        for pred in (nan_cell, rejected):
+            diag = detect.DecodeDiagnostics()
+            detect.decode(pred, detect.DecodeConfig(), diag)
+            fresh.append(dataclasses.astuple(diag))
+            detect.decode(pred, detect.DecodeConfig(), shared)
+        assert fresh[0][:3] == (1, 0, 1) and fresh[1][:3] == (1, 1, 0)
+        assert dataclasses.astuple(shared) == tuple(map(sum, zip(*fresh)))
 
     def test_quads_attached(self):
         ann = rect_annotation(10, 10, 120, 40)

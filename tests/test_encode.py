@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from textshape import labels as enc
+from textshape.geom import Polygon, as_points, drop_repeats
 from textshape.synth import arc_annotation, rect_annotation, separated_pair
 from conftest import (
     point_major_nearest_boundary,
     ray_cast_inside,
+    sequential_central_ring,
+    sequential_zip_edges,
     shoelace,
     suite_digests,
     vertex_sets_match,
@@ -62,7 +67,22 @@ class TestSplitSides:
 
 
 def zip_tiles(ann):
-    return zip_triangles(ann.upper, ann.lower, enc._zip_edges(ann))
+    return zip_triangles(ann.upper, ann.lower, list(zip(*enc._zip_edges(ann))))
+
+
+@st.composite
+def chain_pairs(draw):
+    """Two chains of 2-14 vertices; lattice coordinates give exact
+    arc-length ties, and the chains may share their first vertex."""
+    if draw(st.booleans()):
+        coord = st.integers(0, 4).map(float)
+    else:
+        coord = st.floats(-100, 100, allow_nan=False)
+    chain = st.lists(st.tuples(coord, coord), min_size=2, max_size=14)
+    upper, lower = draw(chain), draw(chain)
+    if draw(st.booleans()):
+        lower[0] = upper[0]
+    return upper, lower
 
 
 class TestTriangulate:
@@ -97,6 +117,33 @@ class TestTriangulate:
             assert corners & upper and corners & lower
 
 
+class TestZipMatchesSequentialMerge:
+    @given(chain_pairs())
+    @example(([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)]))   # ties at 0.5 and 1
+    @example(([(0, 0), (2, 0)], [(0, 0), (1, 1), (2, 0)]))           # shared first vertex
+    @settings(max_examples=300, deadline=None)
+    def test_edges_and_ring_equal_the_oracle(self, chains):
+        upper, lower = (drop_repeats(as_points(c)) for c in chains)
+        assume(len(upper) >= 2 and len(lower) >= 2)
+        ann = enc.AnnotationPolygon(upper, lower)
+        edges = sequential_zip_edges(enc._arc_params(upper), enc._arc_params(lower))
+        iu, il = enc._zip_edges(ann)
+        assert list(zip(iu.tolist(), il.tolist())) == edges
+
+        ring = sequential_central_ring(upper, lower, edges, enc.SHRINK)
+        if len(ring) < 3:
+            with pytest.raises(enc.MalformedAnnotationError):
+                enc.central_region_polygon(ann)
+            return
+        try:
+            want = Polygon.make(ring).vertices
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                enc.central_region_polygon(ann)
+            return
+        assert enc.central_region_polygon(ann).vertices.tobytes() == want.tobytes()
+
+
 class TestCentralRegion:
     def test_rectangle_hand_construction(self):
         ann = enc.split_sides(RECT_RING)
@@ -124,8 +171,9 @@ class TestCentralRegion:
         ann = arc_annotation(200, 200, 120, 44, 160)
         central = enc.central_region_polygon(ann)
         grid = enc.RasterGrid.for_image(400, 400, 1)
-        rows, cols = enc._region_cells(central, grid)
-        centers = grid.cell_centers(rows, cols)
+        flat, centers = enc._region_cells(central, grid)
+        assert (np.diff(flat) > 0).all()   # raster order
+        assert centers.tobytes() == grid.cell_centers(*np.divmod(flat, grid.width)).tobytes()
         ring = ann.closed_vertices()
         inside = sum(
             1
@@ -260,7 +308,8 @@ class TestEncode:
         for ann in anns:
             if ann.ignore:
                 continue
-            rows, cols = enc._region_cells(enc.central_region_polygon(ann), grid)
+            flat, _ = enc._region_cells(enc.central_region_polygon(ann), grid)
+            rows, cols = np.divmod(flat, grid.width)
             centers = grid.cell_centers(rows, cols)
             feet, dist = point_major_nearest_boundary(centers, ann.closed_vertices())
             conflicts += int(mask[rows, cols].sum())
@@ -296,6 +345,12 @@ class TestRasterGrid:
         grid = enc.RasterGrid(width=4, height=3, stride=2)
         c = grid.cell_centers(np.array([0, 2]), np.array([1, 3]))
         assert c == pytest.approx(np.array([[3, 1], [7, 5]]))
+
+    def test_cell_centers_broadcast(self):
+        grid = enc.RasterGrid(width=4, height=3, stride=2)
+        c = grid.cell_centers(np.arange(3)[:, None], np.arange(4))
+        assert c.shape == (3, 4, 2)
+        assert c[2, 1].tolist() == [3.0, 5.0]
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):

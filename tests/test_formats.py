@@ -282,11 +282,13 @@ class TestMsrrFormat:
             formats.read_raster(path)
 
     def test_unknown_channel_count(self, tmp_path):
-        header = formats.MSRR_MAGIC + struct.pack("<5I", 1, 2, 2, 1, 1)
         path = tmp_path / "c.msrr"
-        path.write_bytes(header + b"\x00" * 16)
-        with pytest.raises(formats.RasterFormatError):
-            formats.read_raster(path)
+        for channels in (0, 1, 2, 5):
+            header = formats.MSRR_MAGIC + struct.pack("<5I", 1, 3, 2, 1, channels)
+            path.write_bytes(header + b"\x00" * 24 * channels)
+            with pytest.raises(formats.RasterFormatError) as err:
+                formats.read_raster(path)
+            assert str(err.value) == f"{path}: unsupported channel count {channels}"
 
     def test_grid_over_cell_budget(self, tmp_path):
         # the header claims 2**26 cells; refused before the payload is read

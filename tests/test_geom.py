@@ -142,7 +142,8 @@ class TestNearestBoundary:
         cases = []
         for inst in roundtrip_suite()[::10]:
             grid = labels.RasterGrid.for_image(*inst.image_size, stride=1)
-            rows, cols = labels._region_cells(labels.central_region_polygon(inst.annotation), grid)
+            flat, _ = labels._region_cells(labels.central_region_polygon(inst.annotation), grid)
+            rows, cols = np.divmod(flat, grid.width)
             cases.append((grid.cell_centers(rows, cols), inst.annotation.closed_vertices()))
         # exact ties: on this lattice many points are equidistant from two
         # edges, and the centre (2, 2) from all four

@@ -57,6 +57,25 @@ class TestShapePlan:
             netplan.shape_plan(520, 512, 2)
         assert "conv5" in str(err.value)
 
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
+    def test_error_names_the_deepest_failing_stage(self, n_channels):
+        def deepest_first(h, w):
+            for k in reversed(range(n_channels)):
+                for name, s in zip(reversed(netplan.STAGE_NAMES), reversed(netplan.STAGE_STRIDES)):
+                    if h % (s << k) or w % (s << k):
+                        return f"channel {k + 1} {name} requires divisibility by {s << k}, "
+            return None
+
+        for h in range(8, 2409, 8):
+            for w in (8, 96, 256, 1000, 2400):
+                want = deepest_first(h, w)
+                if want is None:
+                    assert netplan.shape_plan(h, w, n_channels).input_shape == (h, w)
+                    continue
+                with pytest.raises(netplan.ShapePlanError) as err:
+                    netplan.shape_plan(h, w, n_channels)
+                assert str(err.value) == f"{want}got {h}x{w}"
+
     def test_all_fusion_inputs_aligned(self):
         for n in (1, 2, 3):
             plan = netplan.shape_plan(768, 1024, n)
