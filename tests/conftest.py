@@ -214,6 +214,31 @@ def per_direction_min_area_rect(hull) -> np.ndarray:
     return best
 
 
+def bbox_region_cells(poly, grid):
+    """Reference region raster over the whole bounding box.
+
+    The earlier bound of ``labels._region_cells``, kept verbatim so the
+    per-row bound can be checked bit for bit against it: the center of every
+    cell of the polygon's bounding box, clipped to the grid, goes through
+    ``point_in_polygon``. Returns the flat indices (row * width + col) and
+    (N, 2) centers of the inside cells, in raster order.
+    """
+    from textshape.geom import point_in_polygon
+
+    x0, y0, x1, y1 = poly.bounds()
+    c0 = max(0, int(np.floor(x0 / grid.stride - 0.5)))
+    c1 = min(grid.width - 1, int(np.ceil(x1 / grid.stride - 0.5)))
+    r0 = max(0, int(np.floor(y0 / grid.stride - 0.5)))
+    r1 = min(grid.height - 1, int(np.ceil(y1 / grid.stride - 0.5)))
+    if c1 < c0 or r1 < r0:
+        return np.empty(0, dtype=np.int64), np.empty((0, 2))
+    centers = grid.cell_centers(np.arange(r0, r1 + 1)[:, None], np.arange(c0, c1 + 1))
+    centers = centers.reshape(-1, 2)
+    inside = np.flatnonzero(point_in_polygon(centers, poly.vertices))
+    rows, cols = np.divmod(inside, c1 - c0 + 1)
+    return (rows + r0) * grid.width + cols + c0, centers[inside]
+
+
 def edge_key_largest_component(simplices, areas) -> np.ndarray:
     """Reference adjacency for the alpha ladder's component step.
 

@@ -4,9 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from textshape import labels as enc
-from textshape.geom import Polygon, as_points, drop_repeats
-from textshape.synth import arc_annotation, rect_annotation, separated_pair
+from textshape.geom import DegenerateInputError, Polygon, as_points, drop_repeats
+from textshape.synth import arc_annotation, rect_annotation, roundtrip_suite, separated_pair
 from conftest import (
+    bbox_region_cells,
     point_major_nearest_boundary,
     ray_cast_inside,
     sequential_central_ring,
@@ -183,6 +184,111 @@ class TestCentralRegion:
         assert inside >= 0.999 * len(centers)
 
 
+@st.composite
+def region_cases(draw):
+    """A ring, a grid of stride 1-4 and the ring's kind.
+
+    "lattice" rings have vertices on the half-cell lattice, so cell centers
+    fall on their vertices and on their horizontal and vertical edges;
+    "free" rings reach past the grid on every side; a "sliver" lies strictly
+    between two adjacent center rows (or columns), so it holds no center.
+    """
+    stride = draw(st.integers(1, 4))
+    grid = enc.RasterGrid(draw(st.integers(1, 12)), draw(st.integers(1, 12)), stride)
+    kind = draw(st.sampled_from(["lattice", "free", "sliver"]))
+    n = draw(st.integers(3, 9))
+    if kind == "lattice":
+        k = st.integers(-4, 28)
+        pts = np.array(draw(st.lists(st.tuples(k, k), min_size=n, max_size=n)), float)
+        pts *= stride / 2
+    else:
+        free = st.floats(-5.0 * stride, 17.0 * stride, allow_nan=False)
+        pts = np.array(draw(st.lists(st.tuples(free, free), min_size=n, max_size=n)))
+    if kind == "sliver":
+        line = draw(st.integers(-1, 12))
+        gap = st.floats(0.01, 0.99)
+        pts[:, 1] = [(line + 0.5 + draw(gap)) * stride for _ in range(n)]
+        if draw(st.booleans()):
+            pts = pts[:, ::-1].copy()
+    try:
+        poly = Polygon.make(pts)
+    except DegenerateInputError:
+        assume(False)
+    return poly, grid, kind
+
+
+def assert_region_equals_bbox(poly, grid):
+    flat, centers = enc._region_cells(poly, grid)
+    want_flat, want_centers = bbox_region_cells(poly, grid)
+    assert flat.dtype == want_flat.dtype
+    assert flat.tobytes() == want_flat.tobytes()
+    assert centers.tobytes() == want_centers.tobytes()
+    return flat
+
+
+class TestRegionCells:
+    @settings(max_examples=400, deadline=None)
+    @given(region_cases())
+    # a rectangle whose edges run along center rows and columns
+    @example((Polygon.make([(1, 1), (7, 1), (7, 5), (1, 5)]), enc.RasterGrid(6, 4, 2), "lattice"))
+    # a U whose inner horizontal edge lies on a center row
+    @example((Polygon.make([(0, 0.5), (6, 0.5), (6, 4), (4, 4), (4, 2.5), (2, 2.5), (2, 4),
+                            (0, 4)]), enc.RasterGrid(8, 8, 1), "lattice"))
+    # wholly left of, and wholly below, the grid
+    @example((Polygon.make([(-9, 1), (-2, 1), (-2, 6)]), enc.RasterGrid(5, 5, 1), "free"))
+    @example((Polygon.make([(1, 30), (4, 30), (4, 40)]), enc.RasterGrid(5, 5, 3), "free"))
+    def test_equals_bbox_raster(self, case):
+        poly, grid, kind = case
+        flat = assert_region_equals_bbox(poly, grid)
+        if kind == "sliver":
+            assert len(flat) == 0
+
+    def test_suite_equals_bbox_raster(self):
+        """Every 4th suite instance: its central region, and its full outline
+        as the ignore-mask path rasterizes it."""
+        for inst in roundtrip_suite()[::4]:
+            grid = enc.RasterGrid.for_image(*inst.image_size, stride=1)
+            assert len(assert_region_equals_bbox(enc.central_region_polygon(inst.annotation), grid))
+            assert len(assert_region_equals_bbox(inst.annotation.polygon(), grid))
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        """Every point array the region raster sends to point_in_polygon."""
+        calls = []
+        real = enc.point_in_polygon
+
+        def spy(points, vertices):
+            calls.append(np.asarray(points))
+            return real(points, vertices)
+
+        monkeypatch.setattr(enc, "point_in_polygon", spy)
+        return calls
+
+    def region_work(self, tested, ann, grid):
+        tested.clear()
+        flat, _ = enc._region_cells(enc.central_region_polygon(ann), grid)
+        points = np.concatenate(tested)
+        return len(points), len(flat), len(np.unique(points[:, 1]))
+
+    def test_rotated_line_tests_two_extra_cells_per_row(self, tested):
+        grid = enc.RasterGrid.for_image(800, 800, 1)
+        ann = rect_annotation(100, 350, 600, 30, angle_deg=45)
+        n_tested, n_inside, n_rows = self.region_work(tested, ann, grid)
+        assert n_tested <= n_inside + 2 * n_rows
+
+    def test_suite_rotated_line_tests_near_its_inside_cells(self, tested):
+        inst = next(i for i in roundtrip_suite() if i.name == "rot30_a20")
+        grid = enc.RasterGrid.for_image(*inst.image_size, stride=1)
+        n_tested, n_inside, _ = self.region_work(tested, inst.annotation, grid)
+        assert n_inside == 108_159   # of the bbox's 1,988,123 centers
+        assert n_tested < 1.1 * n_inside
+
+    def test_arc_tests_under_four_times_its_inside_cells(self, tested):
+        grid = enc.RasterGrid.for_image(800, 800, 1)
+        n_tested, n_inside, _ = self.region_work(tested, arc_annotation(400, 400, 250, 60, 120), grid)
+        assert n_tested < 4 * n_inside
+
+
 class TestEncode:
     def grid(self, w=100, h=40, stride=1):
         return enc.RasterGrid.for_image(w, h, stride)
@@ -348,9 +454,12 @@ class TestRasterGrid:
 
     def test_cell_centers_broadcast(self):
         grid = enc.RasterGrid(width=4, height=3, stride=2)
-        c = grid.cell_centers(np.arange(3)[:, None], np.arange(4))
+        rows, cols = np.arange(3)[:, None], np.arange(4)
+        c = grid.cell_centers(rows, cols)
         assert c.shape == (3, 4, 2)
         assert c[2, 1].tolist() == [3.0, 5.0]
+        want = np.stack(np.broadcast_arrays((cols + 0.5) * 2, (rows + 0.5) * 2), axis=-1)
+        assert c.tobytes() == want.tobytes()
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -494,6 +494,16 @@ def test_unique_rows_matches_numpy_unique(rng):
     np.testing.assert_array_equal(first, want_first)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("shape", [(), (1,), (2,)])
+def test_succ_equals_roll(rng, n, shape):
+    a = rng.normal(size=(n, *shape))
+    got = geom._succ(a)
+    want = np.roll(a, -1, axis=0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPolygonType:
     def test_orientation_normalized_to_ccw(self):
         cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
