@@ -104,7 +104,7 @@ class BoundaryPointSet:
 
     points: np.ndarray
     score: float
-    sources: np.ndarray | None = None
+    sources: np.ndarray
 
 
 @dataclass
@@ -252,9 +252,7 @@ def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detec
     """
     try:
         norm_pts, norm = geom.normalize_points(points.points)
-        inner = None
-        if points.sources is not None:   # probes picked before normalizing, to bound its work
-            inner = norm.apply(geom.containment_probes(points.sources))
+        inner = norm.apply(geom.containment_probes(points.sources))   # picked before normalizing
         poly_n = geom.alpha_shape_with_fallback(norm_pts, alpha, must_contain=inner)
     except geom.DegenerateInputError as exc:
         raise InstanceRejected(str(exc)) from exc

@@ -3,10 +3,12 @@ ignore-region handling, quad-mode evaluation for straight-line sets, and
 the encode -> decode -> IoU roundtrip of the codec.
 
 The matcher follows the common ICDAR-style convention: detections claim
-ground truths greedily in score order at a configurable IoU threshold;
-detections overlapping only don't-care regions count as neither true nor
-false positives. Every score derives from the tp/fp/fn counts by one rule
-(EvalReport); a corpus report holds the summed per-image counts.
+ground truths greedily in score order at a configurable IoU threshold; a
+detection left unmatched whose IoU with any don't-care region reaches the
+threshold counts as neither a true nor a false positive, whatever its
+overlap with real ground truths. Every score derives from the tp/fp/fn
+counts by one rule (EvalReport); a corpus report holds the summed
+per-image counts.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ def match(
     Detections are taken in score order (index breaks ties); each claims the
     unmatched non-ignore ground truth of highest IoU when that IoU clears
     the threshold. In "quad" mode both sides are reduced to their
-    minimum-area oriented rectangles first. Unmatched detections whose best
-    overlap is an ignore region at or above the threshold are excluded from
-    the false positives. The threshold must lie in (0, 1]. polygon_iou runs
+    minimum-area oriented rectangles first. An unmatched detection whose IoU
+    with any ignore region is at or above the threshold is excluded from the
+    false positives (counted in ``ignored_dets``), whatever its IoU with real
+    ground truths. The threshold must lie in (0, 1]. polygon_iou runs
     only on pairs whose bounding boxes overlap or touch, up to rounding: any
     other pair has IoU exactly 0 (see polygon_mask), which never wins.
     """

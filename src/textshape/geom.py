@@ -238,8 +238,10 @@ def _boundary_loops(tails: np.ndarray, heads: np.ndarray) -> list[list[int]]:
     every vertex by its smallest unused outgoing edge. A vertex's outgoing
     edges are therefore used in ascending order, so one pointer per vertex
     into the sorted edge list replaces any search. At a pinch vertex any
-    continuation is valid: triangulation edges never cross, and repeated
-    vertices are split into sub-loops afterwards.
+    continuation is valid, as triangulation edges never cross: when the walk
+    comes back to a vertex already on its path, the path since that vertex
+    is cut off as a loop of its own. Every loop returned is simple; loops of
+    fewer than 3 vertices are dropped.
     """
     # int64 keys: Qhull's int32 indices would wrap above 46,340 points.
     tails, heads = tails.astype(np.int64), heads.astype(np.int64)
@@ -254,51 +256,41 @@ def _boundary_loops(tails: np.ndarray, heads: np.ndarray) -> list[list[int]]:
         if i < nxt[start]:
             continue   # already walked
         nxt[start] = i + 1
-        loop = [start]
+        path, pos = [start], {start: 0}   # pos: each path vertex's index in path
         v = heads[i]
         while v != start:
-            loop.append(v)
+            if v in pos:   # a pinch: cut the sub-loop from v's visit off the path
+                sub = path[pos[v]:]
+                if len(sub) >= 3:
+                    loops.append(sub)
+                for u in sub[1:]:
+                    del pos[u]
+                del path[pos[v] + 1:]
+            else:
+                pos[v] = len(path)
+                path.append(v)
             j = nxt[v]
             if j == stop[v]:
                 raise AlphaShapeError("boundary walk failed to close a loop")
             nxt[v] = j + 1
             v = heads[j]
-        loops.append(loop)
+        if len(path) >= 3:
+            loops.append(path)
     return loops
-
-
-def _split_pinches(loop: list[int]) -> list[list[int]]:
-    """Split a loop that revisits a vertex into simple sub-loops."""
-    stack: list[int] = []
-    pos: dict[int, int] = {}
-    out: list[list[int]] = []
-    for v in loop:
-        if v in pos:
-            cut = pos[v]
-            sub = stack[cut:]
-            if len(sub) >= 3:
-                out.append(sub)
-            for u in stack[cut:]:
-                pos.pop(u, None)
-            del stack[cut:]
-        pos[v] = len(stack)
-        stack.append(v)
-    if len(stack) >= 3:
-        out.append(stack)
-    return out
 
 
 def _shape_from_filter(
     pts: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
-    radii: np.ndarray, areas: np.ndarray, alpha: float,
-) -> tuple[Polygon, float]:
-    """Alpha-filtered shape plus the fraction of points it covers.
+    radii: np.ndarray, areas: np.ndarray, alpha: float, min_coverage: float,
+) -> Polygon:
+    """Outer boundary of the alpha-filtered shape's largest component.
 
-    Coverage is the share of input points that are vertices of the chosen
+    Coverage is the share of input points that are vertices of the
     component's triangles; a well-formed shape covers nearly all of them
-    while a stray fragment covers only a few. A kept triangle's neighbors
-    lie in its own component, so the component's boundary edges are those
-    with no neighbor left.
+    while a stray fragment covers only a few. A component covering less than
+    ``min_coverage`` raises AlphaShapeError before its boundary is walked. A
+    kept triangle's neighbors lie in its own component, so the component's
+    boundary edges are those with no neighbor left.
     """
     keep = radii <= alpha
     if not keep.any():
@@ -307,19 +299,16 @@ def _shape_from_filter(
     comp = _largest_component(adjacent, areas[keep])
     kept, adjacent = kept[comp], adjacent[comp]
     coverage = np.count_nonzero(np.bincount(kept.ravel(), minlength=len(pts))) / len(pts)
+    if coverage < min_coverage:
+        raise AlphaShapeError(f"component covers {coverage:.3f} of the points")
 
-    best: list[int] | None = None
-    best_area = -1.0
-    for raw in _boundary_loops(*_boundary_edges(kept, adjacent)):
-        for loop in _split_pinches(raw):
-            area = abs(shoelace_area(pts[loop]))
-            if area > best_area:
-                best_area = area
-                best = loop
-    if best is None or best_area <= EPS:
+    loops = _boundary_loops(*_boundary_edges(kept, adjacent))
+    # the largest loop, the first of any tie
+    best = max(loops, key=lambda loop: abs(shoelace_area(pts[loop])), default=None)
+    if best is None or abs(shoelace_area(pts[best])) <= EPS:
         raise AlphaShapeError("alpha shape has no usable outer boundary")
     try:
-        return Polygon.make(pts[best]), coverage
+        return Polygon.make(pts[best])
     except DegenerateInputError as exc:
         # A degenerate loop at this alpha is recoverable by escalating.
         raise AlphaShapeError(str(exc)) from exc
@@ -339,8 +328,7 @@ def alpha_shape(points, alpha: float) -> Polygon:
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
-    poly, _ = _shape_from_filter(*_delaunay_raw(points), alpha)
-    return poly
+    return _shape_from_filter(*_delaunay_raw(points), alpha, min_coverage=0.0)
 
 
 def containment_probes(points: np.ndarray) -> np.ndarray:
@@ -353,35 +341,35 @@ def containment_probes(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def alpha_shape_with_fallback(points, alpha: float, must_contain=None) -> Polygon:
+def alpha_shape_with_fallback(points, alpha: float, must_contain) -> Polygon:
     """Alpha shape with the escalation ladder used by the decoder.
 
     The detection contract wants a polygon enclosing the boundary points,
     so an attempt is accepted only when its component covers at least
-    MIN_COVERAGE of them and, when ``must_contain`` points are given (the
-    central-region cell centers the points were regressed from), contains
-    at least MIN_CONTAINMENT of those. Every given point is tested, so pick
-    them with :func:`containment_probes` to bound that work. Empty,
-    fragmented or non-enclosing results (corner slivers at a small alpha, or
-    the open band a noisy ring collapses to) retry with alpha doubled up to
+    MIN_COVERAGE of them (checked before its boundary is walked) and it
+    contains at least MIN_CONTAINMENT of the ``must_contain`` points (the
+    central-region cell centers the points were regressed from; at least
+    one). Every given point is tested, so pick them with
+    :func:`containment_probes` to bound that work. Empty, fragmented or
+    non-enclosing results (corner slivers at a small alpha, or the open band
+    a noisy ring collapses to) retry with alpha doubled up to
     LADDER_DOUBLINGS times. The convex hull is the final fallback, so every
     non-degenerate point set yields a polygon.
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
+    inner = as_points(must_contain)
+    if len(inner) == 0:
+        raise ValueError("must_contain needs at least one point")
     pts, simplices, neighbors, radii, areas = _delaunay_raw(points, joggle=True)
-    inner = None
-    if must_contain is not None and len(must_contain):
-        inner = as_points(must_contain)
     a = alpha
     for _ in range(LADDER_DOUBLINGS + 1):
         try:
-            poly, coverage = _shape_from_filter(pts, simplices, neighbors, radii, areas, a)
+            poly = _shape_from_filter(pts, simplices, neighbors, radii, areas, a, MIN_COVERAGE)
         except AlphaShapeError:
-            poly, coverage = None, 0.0
-        if poly is not None and coverage >= MIN_COVERAGE:
-            if inner is None or point_in_polygon(inner, poly.vertices).mean() >= MIN_CONTAINMENT:
-                return poly
+            poly = None
+        if poly is not None and point_in_polygon(inner, poly.vertices).mean() >= MIN_CONTAINMENT:
+            return poly
         a *= 2.0
     return Polygon.make(convex_hull(pts))
 
@@ -548,7 +536,9 @@ def point_in_polygon(points, vertices) -> np.ndarray:
     is even, so the parity of the crossings right of a point equals that of
     the crossings at or left of it: each crossing flips a running parity
     from the first point at or right of it on, with no reset between rows.
-    Points go in chunks to bound memory.
+    x-ties: a crossing at a point's own x counts as left of it, so for the
+    square (0,0)-(4,4) the point (0, 2) is inside and (4, 2) outside, the
+    opposite of :func:`_flip_keys`. Points go in chunks to bound memory.
     """
     P = as_points(points)
     V = as_points(vertices)
@@ -577,7 +567,9 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     col being the number of the row's centers at or left of it: the crossing
     flips cells col.. of its row, none when col = nx. A row has an even number
     of keys, so the sorted keys pair up into runs [k0, k1), [k2, k3), ... of
-    inside cells.
+    inside cells. x-ties: a crossing at a center's own x does not flip it, so
+    for the square (0,0)-(4,4) a center at (0, 2) is outside and one at
+    (4, 2) inside, the opposite of :func:`point_in_polygon`.
     """
     if not (cell[0] > 0 and cell[1] > 0):
         raise ValueError(f"cell sizes must be positive, got {cell}")

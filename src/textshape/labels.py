@@ -277,8 +277,9 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
         claim[occupied] = dist[occupied] < np.hypot(dist_x[held], dist_y[held])
         f = flat[claim]
         mask[f] = 1
-        dist_x[f] = feet[claim, 0] - centers[claim, 0]
-        dist_y[f] = feet[claim, 1] - centers[claim, 1]
+        # 1-D columns: a boolean select on a 2-D array is several times slower
+        dist_x[f] = feet[:, 0][claim] - centers[:, 0][claim]
+        dist_y[f] = feet[:, 1][claim] - centers[:, 1][claim]
 
     out.stats = stats
     return out

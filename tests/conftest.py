@@ -276,6 +276,62 @@ def twin_search_boundary(simplices) -> list[tuple[int, int]]:
     return sorted((a, b) for a, b in present if (b, a) not in present)
 
 
+def walk_boundary_loops(tails, heads) -> list[list[int]]:
+    """Reference boundary walk of the alpha ladder, before pinches were cut
+    during the walk: the earlier ``geom._boundary_loops``, kept verbatim.
+    Returns the raw loops, which may revisit a vertex; pass each through
+    :func:`split_pinches`.
+    """
+    from textshape.geom import AlphaShapeError
+
+    tails, heads = np.asarray(tails).astype(np.int64), np.asarray(heads).astype(np.int64)
+    base = int(max(tails.max(), heads.max())) + 1
+    tails, heads = np.divmod(np.sort(tails * base + heads), base)
+    nxt = np.searchsorted(tails, np.arange(base), side="left").tolist()
+    stop = np.searchsorted(tails, np.arange(base), side="right").tolist()
+    tails, heads = tails.tolist(), heads.tolist()
+
+    loops = []
+    for i, start in enumerate(tails):
+        if i < nxt[start]:
+            continue   # already walked
+        nxt[start] = i + 1
+        loop = [start]
+        v = heads[i]
+        while v != start:
+            loop.append(v)
+            j = nxt[v]
+            if j == stop[v]:
+                raise AlphaShapeError("boundary walk failed to close a loop")
+            nxt[v] = j + 1
+            v = heads[j]
+        loops.append(loop)
+    return loops
+
+
+def split_pinches(loop: list[int]) -> list[list[int]]:
+    """Reference split of a loop that revisits a vertex into simple
+    sub-loops of 3 or more vertices: the earlier ``geom._split_pinches``,
+    kept verbatim."""
+    stack: list[int] = []
+    pos: dict[int, int] = {}
+    out: list[list[int]] = []
+    for v in loop:
+        if v in pos:
+            cut = pos[v]
+            sub = stack[cut:]
+            if len(sub) >= 3:
+                out.append(sub)
+            for u in stack[cut:]:
+                pos.pop(u, None)
+            del stack[cut:]
+        pos[v] = len(stack)
+        stack.append(v)
+    if len(stack) >= 3:
+        out.append(stack)
+    return out
+
+
 def _array_digest(h, a) -> None:
     a = np.ascontiguousarray(a)
     h.update(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes())

@@ -9,8 +9,10 @@ from conftest import (
     edge_key_largest_component,
     rasterize_oracle,
     shoelace,
+    split_pinches,
     strip_collinear,
     twin_search_boundary,
+    walk_boundary_loops,
     vertex_sets_match,
 )
 from test_geom import circumcircle_oracle
@@ -144,6 +146,59 @@ class TestAdjacency:
                 assert got == twin_search_boundary(kept[comp])
 
 
+def walk_then_split(tails, heads) -> list[list[int]]:
+    return [loop for raw in walk_boundary_loops(tails, heads) for loop in split_pinches(raw)]
+
+
+def point_set(kind: str, rng) -> np.ndarray:
+    if kind == "random":
+        return rng.random((300, 2))
+    if kind == "lattice":   # duplicates, collinear runs and cocircular quads
+        return np.round(rng.random((300, 2)) * 24) / 24
+    centers = rng.random((5, 2))   # clustered: dense blobs joined by long, thin triangles
+    return (centers[rng.integers(0, 5, 300)] + rng.normal(0, 0.03, (300, 2))).clip(0, 1)
+
+
+class TestPinchCutWalk:
+    def test_bow_tie_cut_in_walk_then_split_order(self):
+        # Two lobes meeting at vertex 2: 0-3-2-5 and 2-1-6. At 2 the walk
+        # leaves by its smallest edge, 2->1, so it tours the small lobe
+        # before it comes back to 2 and closes the large one.
+        tails = np.array([0, 3, 2, 5, 2, 1, 6])
+        heads = np.array([3, 2, 5, 0, 1, 6, 2])
+        assert walk_boundary_loops(tails, heads) == [[0, 3, 2, 1, 6, 2, 5]]
+        assert geom._boundary_loops(tails, heads) == [[2, 1, 6], [0, 3, 2, 5]]
+        assert walk_then_split(tails, heads) == [[2, 1, 6], [0, 3, 2, 5]]
+
+    def test_unclosed_walk_raises_like_the_oracle(self):
+        tails, heads = np.array([0, 1, 2]), np.array([1, 2, 1])
+        for walk in (geom._boundary_loops, walk_then_split):
+            with pytest.raises(geom.AlphaShapeError):
+                walk(tails, heads)
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "clustered"])
+    @pytest.mark.parametrize("joggle", [False, True])
+    def test_matches_walk_then_split(self, kind, joggle):
+        rng = np.random.default_rng(33)
+        pinched = 0
+        for _ in range(8):
+            pts, simplices, neighbors, radii, areas = geom._delaunay_raw(point_set(kind, rng), joggle)
+            for q in (0.25, 0.5, 0.75, 0.9):
+                keep = radii <= np.quantile(radii[np.isfinite(radii)], q)
+                kept, adjacent = simplices[keep], geom._restrict(neighbors, keep)
+                comp = geom._largest_component(adjacent, areas[keep])
+                # every component at once, then the ladder's largest one
+                for tris, adj in ((kept, adjacent), (kept[comp], adjacent[comp])):
+                    tails, heads = geom._boundary_edges(tris, adj)
+                    got = geom._boundary_loops(tails, heads)
+                    assert got == walk_then_split(tails, heads)
+                    assert all(len(set(loop)) == len(loop) >= 3 for loop in got)
+                    pinched += sum(
+                        len(set(raw)) < len(raw) for raw in walk_boundary_loops(tails, heads)
+                    )
+        assert pinched > 0   # the sets exercise the cut
+
+
 class TestAlphaShapeFallback:
     def test_ring_with_thickness_above_alpha_recovers(self):
         # Boundary ring of a 60x60 square: every interior triangle has a
@@ -156,7 +211,7 @@ class TestAlphaShapeFallback:
             np.stack([1 - t, np.ones_like(t)], 1),
             np.stack([np.zeros_like(t), 1 - t], 1),
         ])
-        poly = geom.alpha_shape_with_fallback(ring, 0.06)
+        poly = geom.alpha_shape_with_fallback(ring, 0.06, must_contain=[(0.5, 0.5)])
         assert abs(shoelace(poly.vertices)) == pytest.approx(1.0, rel=0.05)
 
     def test_containment_forces_escalation(self, rng):
@@ -171,9 +226,54 @@ class TestAlphaShapeFallback:
         assert point_in_polygon(inner, poly.vertices).mean() >= 0.9
 
     def test_hull_fallback_for_three_points(self):
-        poly = geom.alpha_shape_with_fallback([(0, 0), (1, 0), (0.5, 1)], 1e-9)
+        poly = geom.alpha_shape_with_fallback([(0, 0), (1, 0), (0.5, 1)], 1e-9, [(0.5, 0.3)])
         assert vertex_sets_match(poly.vertices, [(0, 0), (1, 0), (0.5, 1)])
 
     def test_degenerate_still_raises(self):
         with pytest.raises(geom.DegenerateInputError):
-            geom.alpha_shape_with_fallback([(0, 0), (1, 1), (2, 2)], 0.1)
+            geom.alpha_shape_with_fallback([(0, 0), (1, 1), (2, 2)], 0.1, [(1, 1)])
+
+    def test_empty_must_contain_raises(self):
+        for empty in (np.empty((0, 2)), []):
+            with pytest.raises(ValueError, match="must_contain|point array"):
+                geom.alpha_shape_with_fallback([(0, 0), (1, 0), (0.5, 1)], 0.1, empty)
+
+    def test_rung_below_min_coverage_is_never_walked(self, monkeypatch):
+        # A 20x20 lattice and a 4x4 one off its corner: below the alpha that
+        # bridges the gap the largest component covers 400 / 416 < 0.98.
+        def lattice(n):
+            return np.stack(np.meshgrid(np.arange(n), np.arange(n)), -1).reshape(-1, 2) * 0.025
+
+        pts = np.concatenate([lattice(20), lattice(4) + 0.6])
+        probes = [(0.25, 0.25)]
+        _, simplices, _, radii, areas = geom._delaunay_raw(pts, joggle=True)
+
+        calls = {"component": 0, "walk": 0}
+
+        def counting(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(geom, "_largest_component", counting("component", geom._largest_component))
+        monkeypatch.setattr(geom, "_boundary_loops", counting("walk", geom._boundary_loops))
+        poly = geom.alpha_shape_with_fallback(pts, 0.02, probes)
+
+        # the rungs tried, and the share each one's component covers (oracle adjacency)
+        rungs = [0.02 * 2.0**k for k in range(geom.LADDER_DOUBLINGS + 1)]
+        coverage = []
+        for a in rungs[: calls["component"]]:
+            keep = radii <= a
+            comp = edge_key_largest_component(simplices[keep], areas[keep])
+            coverage.append(len(np.unique(simplices[keep][comp])) / len(pts))
+        assert calls["component"] >= 2 and coverage[0] < geom.MIN_COVERAGE
+        assert calls["walk"] == sum(c >= geom.MIN_COVERAGE for c in coverage) >= 1
+        assert geom.point_in_polygon(np.array(probes), poly.vertices).all()
+
+        # no rung can pass: nothing is walked, and the hull comes back
+        calls.update(component=0, walk=0)
+        monkeypatch.setattr(geom, "MIN_COVERAGE", 1.5)
+        poly = geom.alpha_shape_with_fallback(pts, 0.02, probes)
+        assert calls == {"component": geom.LADDER_DOUBLINGS + 1, "walk": 0}
+        assert vertex_sets_match(poly.vertices, geom.convex_hull(pts))

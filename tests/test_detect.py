@@ -427,13 +427,13 @@ class TestReconstruct:
 
     def test_three_points_give_triangle(self):
         pts = np.array([(0.0, 0.0), (40.0, 0.0), (20.0, 30.0)])
-        bp = detect.BoundaryPointSet(points=pts, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, score=1.0, sources=np.array([(20.0, 10.0)]))
         det = detect.reconstruct(bp)
         assert det.polygon.area == pytest.approx(600.0, rel=1e-9)
 
     def test_degenerate_rejected(self):
         pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
-        bp = detect.BoundaryPointSet(points=pts, score=1.0)
+        bp = detect.BoundaryPointSet(points=pts, score=1.0, sources=np.array([(1.5, 1.5)]))
         with pytest.raises(detect.InstanceRejected):
             detect.reconstruct(bp)
 

@@ -479,6 +479,15 @@ class TestPointInPolygon:
         with pytest.raises(ValueError):
             geom.polygon_mask([(0, 0), (4, 0), (4, 4), (0, 4)], (0.0, 0.0), cell, (4, 4))
 
+    def test_x_tie_sides_of_the_two_kernels(self):
+        # The kernels break a crossing at a point's own x opposite ways, as
+        # their docstrings state; a shared convention must change this test.
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        ties = np.array([(0.0, 2.0), (4.0, 2.0)])
+        assert geom.point_in_polygon(ties, square).tolist() == [True, False]
+        row = geom.polygon_mask(square, (-0.5, 1.5), (1.0, 1.0), (1, 5))   # centers x 0..4, y 2
+        assert row[0, [0, 4]].tolist() == [False, True]
+
     def test_empty_queries(self):
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
         assert geom.point_in_polygon(np.empty((0, 2)), square).shape == (0,)
