@@ -244,10 +244,13 @@ def boundary_points(
 def reconstruct(points: BoundaryPointSet, alpha: float = DEFAULT_ALPHA) -> Detection:
     """Fit a concave polygon to the boundary points.
 
-    Points are normalized to the unit square, alpha-shaped, and the polygon
-    resized back to image scale. Degenerate or fragmented shapes retry with
-    alpha doubled up to 4 times and finally fall back to the convex hull,
-    so every usable instance yields an enclosing polygon. A vertex beyond
+    Points are normalized to the unit square, alpha-shaped by
+    ``geom.alpha_shape_with_fallback`` and resized back to image scale. A
+    rung that is empty, covers less than ``geom.MIN_COVERAGE`` of the points
+    or contains less than ``geom.MIN_CONTAINMENT`` of the central-region
+    probes retries with alpha doubled, up to ``geom.LADDER_DOUBLINGS`` times;
+    the convex hull is the last fallback, so every usable instance yields an
+    enclosing polygon. A vertex beyond
     ``geom.MAX_COORD`` in magnitude, which no detection file may hold, rejects it.
     """
     try:

@@ -569,7 +569,9 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     of keys, so the sorted keys pair up into runs [k0, k1), [k2, k3), ... of
     inside cells. x-ties: a crossing at a center's own x does not flip it, so
     for the square (0,0)-(4,4) a center at (0, 2) is outside and one at
-    (4, 2) inside, the opposite of :func:`point_in_polygon`.
+    (4, 2) inside, the opposite of :func:`point_in_polygon`. Read by
+    :func:`polygon_mask`, :func:`polygon_iou` and, for its candidate runs,
+    ``labels._region_cells``.
     """
     if not (cell[0] > 0 and cell[1] > 0):
         raise ValueError(f"cell sizes must be positive, got {cell}")
@@ -638,7 +640,9 @@ def _orient(a, b, c) -> float:
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Proper or touching intersection of two segments, with epsilon slack."""
+    """True only for a proper crossing: each segment's endpoints lie strictly
+    on opposite sides of the other's line, by more than EPS. Touching,
+    collinear or near-degenerate pairs return False."""
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geom import (
     Polygon,
-    _row_crossings,
+    _flip_keys,
     as_points,
     drop_repeats,
     is_simple,
@@ -209,38 +209,28 @@ def _region_cells(poly: Polygon, grid: RasterGrid) -> tuple[np.ndarray, np.ndarr
     """Flat indices (row * width + col) and (N, 2) centers of the grid cells
     whose centers fall inside the polygon, in raster order.
 
-    Candidates are bounded per row: each row of the bbox takes the crossings
-    of its center line (``_row_crossings``), and only the cells from its
-    leftmost to its rightmost crossing, widened to whole cells, are tested.
-    Under the even-odd rule a center is inside only when an odd number of its
-    row's crossings lie at or left of it, so every inside cell lies between
-    the row's outermost crossings and the candidates hold all of them.
-    ``point_in_polygon`` still decides each candidate: it defines the tie
-    convention for centers on the boundary, and perfbench's tracer times the
-    region raster as its span. It decides a point from that point's own row
-    alone, so testing a subset returns the same cells.
+    Candidates are the polygon's scanline runs: the sorted keys of
+    ``_flip_keys`` over the grid pair up into runs [k0, k1) of key
+    ``row * (width + 1) + col``, and each run is tested from k0 - 1, because
+    ``point_in_polygon`` counts a crossing at a center's own x as left of it,
+    so a center on a run's left crossing is inside. A run starts no earlier
+    than its row's first cell nor the previous run's k1, so no cell is tested
+    twice. ``point_in_polygon`` still decides each candidate: it defines the
+    tie convention for centers on the boundary, and perfbench's tracer times
+    the region raster as its span. It decides a point from that point's own
+    row alone, so testing a subset returns the same cells.
     """
-    s = grid.stride
-    _, y0, _, y1 = poly.bounds()
-    r0 = max(0, int(np.floor(y0 / s - 0.5)))
-    r1 = min(grid.height - 1, int(np.ceil(y1 / s - 0.5)))
-    rows = np.arange(r0, r1 + 1)
-    line, xs = _row_crossings(poly.vertices, (rows + 0.5) * s)
-    if len(line) == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, 2))
-    order = np.argsort(line, kind="stable")
-    line, xs = line[order], xs[order]
-    start = np.flatnonzero(np.diff(line, prepend=-1))
-    # clipped to the grid before the cast, so far-off crossings stay in range
-    c0 = np.clip(np.floor(np.minimum.reduceat(xs, start) / s - 0.5), 0, grid.width)
-    c1 = np.clip(np.ceil(np.maximum.reduceat(xs, start) / s - 0.5), -1, grid.width - 1)
-    n = np.maximum(c1 - c0 + 1, 0).astype(np.int64)
-    r = np.repeat(rows[line[start]], n)
-    c = np.arange(n.sum()) + np.repeat(c0.astype(np.int64) - (np.cumsum(n) - n), n)
+    w = grid.width
+    keys = _flip_keys(poly.vertices, (0.0, 0.0), (grid.stride, grid.stride), grid.shape)
+    k0, k1 = keys[0::2], keys[1::2]
+    start = np.maximum(k0 - 1, k0 - k0 % (w + 1))
+    start[1:] = np.maximum(start[1:], k1[:-1])
+    n = k1 - start
+    r, c = np.divmod(np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n), w + 1)
     centers = grid.cell_centers(r, c)
     inside = point_in_polygon(centers, poly.vertices)
     # np.compress: a boolean index on a 2-D array is several times slower
-    return (r * grid.width + c)[inside], np.compress(inside, centers, axis=0)
+    return (r * w + c)[inside], np.compress(inside, centers, axis=0)
 
 
 def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaster:
