@@ -229,9 +229,11 @@ class DatasetRecord:
 
 
 def _read_lines(path: Path) -> list[str]:
-    """Lines of a UTF-8 text file; undecodable bytes are a ParseError naming it."""
+    """Lines of a UTF-8 text file less one leading byte-order mark, as ICDAR 2015's
+    files have (not "utf-8-sig": its error offsets would skip the mark's 3 bytes);
+    undecodable bytes are a ParseError naming the file."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} "

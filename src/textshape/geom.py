@@ -536,9 +536,9 @@ def point_in_polygon(points, vertices) -> np.ndarray:
     is even, so the parity of the crossings right of a point equals that of
     the crossings at or left of it: each crossing flips a running parity
     from the first point at or right of it on, with no reset between rows.
-    x-ties: a crossing at a point's own x counts as left of it, so for the
-    square (0,0)-(4,4) the point (0, 2) is inside and (4, 2) outside, the
-    opposite of :func:`_flip_keys`. Points go in chunks to bound memory.
+    x-ties: a crossing at a point's own x counts as left of it, so points
+    inside lie in [x_left, x_right) of a run, as in :func:`_flip_keys`.
+    Points go in chunks to bound memory.
     """
     P = as_points(points)
     V = as_points(vertices)
@@ -564,14 +564,13 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     """Sorted scanline flips of a polygon on a grid of cell centers.
 
     One key ``row * (nx + 1) + col`` per crossing (see :func:`_row_crossings`),
-    col being the number of the row's centers at or left of it: the crossing
-    flips cells col.. of its row, none when col = nx. A row has an even number
-    of keys, so the sorted keys pair up into runs [k0, k1), [k2, k3), ... of
-    inside cells. x-ties: a crossing at a center's own x does not flip it, so
-    for the square (0,0)-(4,4) a center at (0, 2) is outside and one at
-    (4, 2) inside, the opposite of :func:`point_in_polygon`. Read by
-    :func:`polygon_mask`, :func:`polygon_iou` and, for its candidate runs,
-    ``labels._region_cells``.
+    col being the number of the row's centers strictly left of it: the
+    crossing flips cells col.. of its row, none when col = nx. A row has an
+    even number of keys, so the sorted keys pair up into runs [k0, k1),
+    [k2, k3), ... of inside cells, whose centers lie in [x_left, x_right), as
+    in :func:`point_in_polygon`: for the square (0,0)-(4,4) a center at
+    (0, 2) is inside and one at (4, 2) outside. Read by :func:`polygon_mask`,
+    :func:`polygon_iou` and ``labels._region_cells``.
     """
     if not (cell[0] > 0 and cell[1] > 0):
         raise ValueError(f"cell sizes must be positive, got {cell}")
@@ -579,7 +578,7 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     xc = origin[0] + (np.arange(nx) + 0.5) * cell[0]
     yc = origin[1] + (np.arange(ny) + 0.5) * cell[1]
     line, xs = _row_crossings(as_points(vertices), yc)
-    return np.sort(line * (nx + 1) + np.searchsorted(xc, xs, side="right"))
+    return np.sort(line * (nx + 1) + np.searchsorted(xc, xs, side="left"))
 
 
 def polygon_mask(
@@ -592,8 +591,8 @@ def polygon_mask(
 
     Scanline even-odd fill from the flips of :func:`_flip_keys` (the ones
     :func:`polygon_iou` counts): a cell is inside when its running uint8 flip
-    count (mod 256 keeps the parity) is odd, so set centers lie in (xmin,
-    xmax] x [ymin, ymax) of the vertices, up to a few ulps of rounding in the
+    count (mod 256 keeps the parity) is odd, so set centers lie in [xmin,
+    xmax) x [ymin, ymax) of the vertices, up to a few ulps of rounding in the
     crossing x. Linear in crossings plus cells. Cell sizes must be positive.
     """
     ny, nx = shape

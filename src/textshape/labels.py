@@ -114,8 +114,10 @@ def central_region_polygon(ann: AnnotationPolygon) -> Polygon:
 
     The two points at 25% of the edge length from each endpoint are emitted
     for every connecting edge (the original end edges included, so the
-    region closes); the result is strictly inside the annotation and smaller
-    than it, which keeps neighboring instances separable.
+    region closes). The result is simple, inside the annotation and smaller
+    than it (keeping neighboring instances separable) where the zip triangles
+    tile the annotation, as on rectangles and evenly sampled arcs; unevenly
+    spaced chains can break both (ROADMAP item 2).
     """
     iu, il = _zip_edges(ann)
     u = ann.upper[iu]
@@ -209,24 +211,17 @@ def _region_cells(poly: Polygon, grid: RasterGrid) -> tuple[np.ndarray, np.ndarr
     """Flat indices (row * width + col) and (N, 2) centers of the grid cells
     whose centers fall inside the polygon, in raster order.
 
-    Candidates are the polygon's scanline runs: the sorted keys of
+    The cells are the polygon's scanline runs: the sorted keys of
     ``_flip_keys`` over the grid pair up into runs [k0, k1) of key
-    ``row * (width + 1) + col``, and each run is tested from k0 - 1, because
-    ``point_in_polygon`` counts a crossing at a center's own x as left of it,
-    so a center on a run's left crossing is inside. A run starts no earlier
-    than its row's first cell nor the previous run's k1, so no cell is tested
-    twice. ``point_in_polygon`` still decides each candidate: it defines the
-    tie convention for centers on the boundary, and perfbench's tracer times
-    the region raster as its span. It decides a point from that point's own
-    row alone, so testing a subset returns the same cells.
+    ``row * (width + 1) + col``. ``point_in_polygon``, which shares their
+    tie rule, keeps every run cell; the call stays only because perfbench
+    times the region raster under that name (ROADMAP item 1).
     """
     w = grid.width
     keys = _flip_keys(poly.vertices, (0.0, 0.0), (grid.stride, grid.stride), grid.shape)
     k0, k1 = keys[0::2], keys[1::2]
-    start = np.maximum(k0 - 1, k0 - k0 % (w + 1))
-    start[1:] = np.maximum(start[1:], k1[:-1])
-    n = k1 - start
-    r, c = np.divmod(np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n), w + 1)
+    n = k1 - k0
+    r, c = np.divmod(np.arange(n.sum()) + np.repeat(k0 - (np.cumsum(n) - n), n), w + 1)
     centers = grid.cell_centers(r, c)
     inside = point_in_polygon(centers, poly.vertices)
     # np.compress: a boolean index on a 2-D array is several times slower

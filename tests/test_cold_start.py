@@ -1,5 +1,6 @@
-"""The import surface: every export resolves, and scipy loads only when a
-command decodes, and then only the parts decode uses.
+"""The import surface: every export resolves, ``python -m textshape`` runs
+the command line, and scipy loads only when a command decodes, and then
+only the parts decode uses.
 
 The commands run in a fresh interpreter, since this test process may have
 loaded scipy already.
@@ -12,10 +13,11 @@ import sys
 from pathlib import Path
 
 import textshape
-from textshape import cli, formats
+from textshape import cli, formats, netplan
 from textshape.synth import arc_annotation, rect_annotation
 
 SCIPY_PARTS = ("scipy.spatial", "scipy.sparse")   # Delaunay; connected components
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(textshape.__file__).resolve().parents[1]))
 
 CHILD = """
 import json, sys
@@ -48,9 +50,7 @@ def test_scipy_loaded_only_by_decode(tmp_path):
     assert cli.main(["encode", str(gt), "totaltext", str(tmp_path / "labels_ref")]) == 0
     assert cli.main(["decode", str(tmp_path / "labels_ref"), str(tmp_path / "dets_ref")]) == 0
 
-    src = Path(textshape.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -75,3 +75,20 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from textshape import *", namespace)
     assert set(textshape.__all__) <= namespace.keys()
+
+
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "textshape", *args], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = run_module("netplan", "64", "64")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == netplan.format_plan(netplan.shape_plan(64, 64)) + "\n"
+
+
+def test_python_dash_m_usage_error_exits_2():
+    proc = run_module("netplan", "64")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr

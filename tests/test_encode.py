@@ -238,7 +238,8 @@ class TestRegionCells:
     @example((Polygon.make([(-9, 1), (-2, 1), (-2, 6)]), enc.RasterGrid(5, 5, 1), "free"))
     @example((Polygon.make([(1, 30), (4, 30), (4, 40)]), enc.RasterGrid(5, 5, 3), "free"))
     # a notch from x = 2.6 to 2.9 across the center row y = 0.5: its two
-    # crossings fall between the same two centers, so two runs share a cell
+    # crossings fall between the same two centers, so one run ends at the
+    # cell where the next begins; half-open runs share no cell
     @example((Polygon.make([(0, 0), (2.6, 0), (2.6, 0.8), (2.9, 0.8), (2.9, 0), (5, 0), (5, 2),
                             (0, 2)]), enc.RasterGrid(6, 3, 1), "free"))
     def test_equals_bbox_raster(self, case):
@@ -271,29 +272,28 @@ class TestRegionCells:
     def region_work(self, tested, ann, grid):
         tested.clear()
         flat, _ = enc._region_cells(enc.central_region_polygon(ann), grid)
-        points = np.concatenate(tested)
-        return len(points), len(flat), len(np.unique(points[:, 1]))
+        return sum(map(len, tested)), len(flat)
 
-    def test_rotated_line_tests_one_extra_cell_per_row(self, tested):
-        """One run per row, tested from one cell before its first center."""
+    def test_rotated_line_tests_only_its_inside_cells(self, tested):
+        """One run per row, holding exactly the row's inside cells."""
         grid = enc.RasterGrid.for_image(800, 800, 1)
         ann = rect_annotation(100, 350, 600, 30, angle_deg=45)
-        n_tested, n_inside, n_rows = self.region_work(tested, ann, grid)
-        assert n_tested <= n_inside + n_rows
+        n_tested, n_inside = self.region_work(tested, ann, grid)
+        assert n_tested == n_inside
 
-    def test_suite_rotated_line_tests_near_its_inside_cells(self, tested):
+    def test_suite_rotated_line_tests_only_its_inside_cells(self, tested):
         inst = next(i for i in roundtrip_suite() if i.name == "rot30_a20")
         grid = enc.RasterGrid.for_image(*inst.image_size, stride=1)
-        n_tested, n_inside, _ = self.region_work(tested, inst.annotation, grid)
+        n_tested, n_inside = self.region_work(tested, inst.annotation, grid)
         assert n_inside == 108_159   # of the bbox's 1,988,123 centers
-        assert n_tested < 1.1 * n_inside
+        assert n_tested == n_inside
 
-    def test_arc_tests_two_extra_cells_per_row(self, tested):
-        """At most two runs per row, so the gap between the arms is skipped."""
+    def test_arc_tests_only_its_inside_cells(self, tested):
+        """Up to two runs per row: the gap between the arms is never tested."""
         grid = enc.RasterGrid.for_image(800, 800, 1)
         ann = arc_annotation(400, 400, 250, 60, 120)
-        n_tested, n_inside, n_rows = self.region_work(tested, ann, grid)
-        assert n_tested <= n_inside + 2 * n_rows
+        n_tested, n_inside = self.region_work(tested, ann, grid)
+        assert n_tested == n_inside
 
 
 class TestEncode:

@@ -127,17 +127,19 @@ class TestMatch:
         assert evaluate.match([det_for(GT_A)], [GT_A], iou_threshold=1.0).tp == 1
 
     def test_pair_rasterized_past_its_bounding_box_still_scored(self):
-        # A long edge ends a few ulps left of the joint grid's column centre
-        # 2.0, just above a row centre: its rounded crossing lands on that
-        # centre, so the detection's mask reaches a ground truth whose
-        # bounding box its own does not touch.
-        yc = -1e6 + 255.5 * 1000100 / 256
-        x2 = 2.0 - 10 * np.spacing(2.0)
-        tip = (x2, np.nextafter(yc, np.inf))
-        det = Detection(polygon=Polygon.make([(-1000.0, -1e6), tip, (-1000.0, 100.0)]), score=0.9)
-        x0 = np.nextafter(x2, np.inf)
-        gt = AnnotationPolygon.make([(x0, -1900.0), (24.0, -1900.0)], [(x0, 60.0), (24.0, 60.0)])
-        assert det.polygon.bounds()[2] < gt.polygon().bounds()[0]
+        # The detection's left tip lies two ulps right of the joint grid's
+        # column centre c and one ulp above a row centre. Its long edge
+        # starts at x = 5000.3, so the row's crossing is rounded on the float
+        # grid near 5000 (~1e-12 apart) and lands left of c: the detection's
+        # mask reaches a ground truth whose bounding box its own does not touch.
+        c = 1.5 * (5000.3 / 256)
+        yc = -1e6 + 128.5 * (2e6 / 256)
+        right = np.nextafter(c, np.inf)
+        tip = (np.nextafter(right, np.inf), np.nextafter(yc, -np.inf))
+        det = Detection(polygon=Polygon.make([tip, (5000.3, 1e6), (5000.3, -1e6)]), score=0.9)
+        gt = AnnotationPolygon.make([(0.0, yc - 100), (right, yc - 100)],
+                                    [(0.0, yc + 100), (right, yc + 100)])
+        assert gt.polygon().bounds()[2] < det.polygon.bounds()[0]
         rep = evaluate.match([det], [gt], iou_threshold=1e-6)
         assert rep.tp == 1 and rep.matches[0][2] > 0
 

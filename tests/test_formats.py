@@ -191,6 +191,25 @@ class TestAnnotationFiles:
             formats.read_annotation_file(p, "icdar2015")
         assert str(err.value).startswith(f"{p}: not UTF-8 text: byte 0x80")
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # ICDAR 2015's gt_img_*.txt files start with a UTF-8 byte-order mark
+        text = "377,117,463,117,465,130,378,130,Genaxis Theatre\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = formats.read_annotation_file(plain, "icdar2015")
+        got = formats.read_annotation_file(bom, "icdar2015")
+        assert got.image_size == want.image_size
+        assert [a.closed_vertices().tolist() for a in got.annotations] == \
+            [a.closed_vertices().tolist() for a in want.annotations]
+
+    def test_byte_order_mark_counted_in_bad_byte_offset(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbf0,0,10,0,10,5,0,5,caf\x80\n")
+        with pytest.raises(formats.ParseError) as err:
+            formats.read_annotation_file(p, "icdar2015")
+        assert str(err.value) == f"{p}: not UTF-8 text: byte 0x80 at offset 24"
+
 
 def label_raster_from(rng, w=6, h=4, stride=2):
     grid = RasterGrid(width=w, height=h, stride=stride)

@@ -435,7 +435,7 @@ class TestPointInPolygon:
 
     @staticmethod
     def left_crossing_parity(v, origin, cell, shape):
-        """Per-edge parity of the crossings strictly left of each cell center."""
+        """Per-edge parity of the crossings at or left of each cell center."""
         xc = origin[0] + (np.arange(shape[1]) + 0.5) * cell[0]
         yc = origin[1] + (np.arange(shape[0]) + 0.5) * cell[1]
         gx, gy = np.meshgrid(xc, yc)
@@ -443,11 +443,11 @@ class TestPointInPolygon:
         for (xi, yi), (xj, yj) in zip(v, np.roll(v, -1, axis=0)):
             cond = (yi > gy) != (yj > gy)
             with np.errstate(divide="ignore", invalid="ignore"):
-                want ^= cond & (xi + (gy - yi) * (xj - xi) / (yj - yi) < gx)
+                want ^= cond & (xi + (gy - yi) * (xj - xi) / (yj - yi) <= gx)
         return want
 
     def test_mask_matches_per_edge_parity_on_dense_concave_outline(self):
-        # polygon_mask counts crossings strictly left of each cell center.
+        # polygon_mask counts crossings at or left of each cell center.
         # Centers on the 0.5 px lattice sit exactly on vertices and
         # horizontal edges, where the two sides of a tie would differ.
         v = decoded_arc_outline()
@@ -459,7 +459,8 @@ class TestPointInPolygon:
 
     def test_mask_parity_survives_more_than_255_crossings_in_a_cell(self):
         # A 400-tooth saw in x in (0, 1) puts about 400 crossings into each
-        # of two cells per row; the uint8 running count wraps but keeps parity.
+        # of two cells per row; the uint8 running count of the crossings at
+        # or left of each center wraps but keeps parity.
         k = np.arange(400)
         teeth = np.stack([1 - (k + 0.5) / 400, np.ones(400), 1 - (k + 1) / 400, np.full(400, 10.0)], 1)
         v = np.vstack([[(0, 0), (30, 0), (30, 10), (1, 10)], teeth.reshape(-1, 2)])
@@ -479,14 +480,18 @@ class TestPointInPolygon:
         with pytest.raises(ValueError):
             geom.polygon_mask([(0, 0), (4, 0), (4, 4), (0, 4)], (0.0, 0.0), cell, (4, 4))
 
-    def test_x_tie_sides_of_the_two_kernels(self):
-        # The kernels break a crossing at a point's own x opposite ways, as
-        # their docstrings state; a shared convention must change this test.
+    def test_kernels_share_one_x_tie_side(self):
+        # Every raster keeps a center in [x_left, x_right) of its row's run:
+        # on the left crossing inside, on the right one outside.
         square = [(0, 0), (4, 0), (4, 4), (0, 4)]
         ties = np.array([(0.0, 2.0), (4.0, 2.0)])
         assert geom.point_in_polygon(ties, square).tolist() == [True, False]
         row = geom.polygon_mask(square, (-0.5, 1.5), (1.0, 1.0), (1, 5))   # centers x 0..4, y 2
-        assert row[0, [0, 4]].tolist() == [False, True]
+        assert row[0, [0, 4]].tolist() == [True, False]
+        # the region raster's centers lie on a half-cell lattice: shift the square
+        shifted = geom.Polygon.make(np.array(square) + 0.5)
+        _, centers = labels._region_cells(shifted, labels.RasterGrid(6, 5, 1))
+        assert centers[centers[:, 1] == 2.5, 0].tolist() == [0.5, 1.5, 2.5, 3.5]
 
     def test_empty_queries(self):
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
