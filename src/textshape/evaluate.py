@@ -19,7 +19,7 @@ import numpy as np
 
 from .detect import DecodeConfig, Detection, PredictionRaster, add_distance_noise, decode
 from .labels import AnnotationPolygon, RasterGrid, encode
-from .geom import Polygon, min_area_rect, polygon_iou
+from .geom import min_area_rect, polygon_iou
 
 
 @dataclass
@@ -56,11 +56,6 @@ class EvalReport:
         return num / den if den else 0.0
 
 
-def _eval_polygon(obj, mode: str) -> Polygon:
-    poly = obj.polygon() if isinstance(obj, AnnotationPolygon) else obj.polygon
-    return min_area_rect(poly) if mode == "quad" else poly
-
-
 def _check_match_args(iou_threshold: float, mode: str) -> None:
     if mode not in ("polygon", "quad"):
         raise ValueError(f"mode must be 'polygon' or 'quad', got {mode!r}")
@@ -74,59 +69,49 @@ def match(
     iou_threshold: float = 0.5,
     mode: str = "polygon",
 ) -> EvalReport:
-    """Greedy best-IoU matching of detections to ground truths.
+    """Greedy best-IoU matching of detections to ground truths, in one pass.
 
-    Detections are taken in score order (index breaks ties); each claims the
-    unmatched non-ignore ground truth of highest IoU when that IoU clears
-    the threshold. In "quad" mode both sides are reduced to their
-    minimum-area oriented rectangles first. An unmatched detection whose IoU
-    with any ignore region is at or above the threshold is excluded from the
-    false positives (counted in ``ignored_dets``), whatever its IoU with real
-    ground truths. The threshold must lie in (0, 1]. polygon_iou runs
-    only on pairs whose bounding boxes overlap or touch, up to rounding: any
-    other pair has IoU exactly 0 (see polygon_mask), which never wins.
+    Detections are taken in score order (index breaks ties), and each has
+    one of three outcomes: it claims the unclaimed non-ignore ground truth
+    of highest IoU (lowest index on a tie) when that IoU reaches the
+    threshold; else it is counted in ``ignored_dets`` when its IoU with any
+    ignore region reaches the threshold; else it is a false positive.
+    Unclaimed non-ignore ground truths are the false negatives. In "quad"
+    mode both sides are reduced to their minimum-area oriented rectangles
+    first. The threshold must lie in (0, 1]. polygon_iou runs only on pairs
+    whose bounding boxes overlap or touch, up to rounding: any other pair
+    has IoU exactly 0 (see polygon_mask), which never reaches the threshold.
     """
     _check_match_args(iou_threshold, mode)
-    det_polys = [_eval_polygon(d, mode) for d in dets]
-    gt_polys = [_eval_polygon(g, mode) for g in gts]
+    det_polys = [d.polygon for d in dets]
+    gt_polys = [g.polygon() for g in gts]
+    if mode == "quad":
+        det_polys = list(map(min_area_rect, det_polys))
+        gt_polys = list(map(min_area_rect, gt_polys))
     db, gb = (np.array([p.bounds() for p in ps]).reshape(-1, 4) for ps in (det_polys, gt_polys))
     tol = 1e-9 * (1.0 + np.abs(np.vstack([db, gb])).max(initial=0.0))   # see polygon_mask
     near = ((db[:, None, :2] <= gb[:, 2:] + tol) & (gb[:, :2] <= db[:, None, 2:] + tol)).all(2)
-    real = [i for i, g in enumerate(gts) if not g.ignore]
-    ignored = [i for i, g in enumerate(gts) if g.ignore]
 
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     taken: set[int] = set()
     matches = []
-    unmatched_dets = []
-    for di in order:
-        best_iou = 0.0
-        best_gt = -1
-        for gi in real:
-            if gi in taken or not near[di, gi]:
-                continue
-            iou = polygon_iou(det_polys[di], gt_polys[gi])
-            if iou > best_iou:
-                best_iou = iou
-                best_gt = gi
-        if best_gt >= 0 and best_iou >= iou_threshold:
-            taken.add(best_gt)
-            matches.append((di, best_gt, best_iou))
-        else:
-            unmatched_dets.append(di)
-
     ignored_dets = 0
-    for di in unmatched_dets:
-        for gi in ignored:
-            if near[di, gi] and polygon_iou(det_polys[di], gt_polys[gi]) >= iou_threshold:
-                ignored_dets += 1
-                break
+    for di in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+        cands = np.flatnonzero(near[di]).tolist()
+        ious = {gi: polygon_iou(det_polys[di], gt_polys[gi])
+                for gi in cands if not gts[gi].ignore and gi not in taken}
+        best = max(ious, key=ious.get, default=-1)
+        if ious.get(best, 0.0) >= iou_threshold:
+            taken.add(best)
+            matches.append((di, best, ious[best]))
+        elif any(gts[gi].ignore and polygon_iou(det_polys[di], gt_polys[gi]) >= iou_threshold
+                 for gi in cands):
+            ignored_dets += 1
 
     tp = len(matches)
     return EvalReport(
         tp=tp,
         fp=len(dets) - tp - ignored_dets,
-        fn=len(real) - tp,
+        fn=sum(not g.ignore for g in gts) - tp,
         ignored_dets=ignored_dets,
         matches=sorted(matches),
     )

@@ -21,8 +21,9 @@ ignore_mask); predictions use 3 (prob, dist_x, dist_y).
 Detections: ``score,n,x1,y1,...,xn,yn`` with three decimal places.
 
 Every coordinate and field must be finite and at most ``MAX_COORD`` in
-magnitude. The file readers skip blank lines and report the first bad line
-as a ParseError ``<path>:<line>: <message>``; a bad raster is a
+magnitude, and so must the corners computed from an msra_td500 box. The
+file readers skip blank lines and report the first bad line as a
+ParseError ``<path>:<line>: <message>``; a bad raster is a
 RasterFormatError ``<path>: <message>``.
 """
 
@@ -116,7 +117,10 @@ def parse_msra_td500(line: str) -> AnnotationPolygon:
     )
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    ann = _ring_annotation((corners - [cx, cy]) @ rot.T + [cx, cy])
+    ring = (corners - [cx, cy]) @ rot.T + [cx, cy]
+    if np.abs(ring).max() > MAX_COORD:
+        raise ParseError(f"box corner exceeds {MAX_COORD:g} in magnitude")
+    ann = _ring_annotation(ring)
     ann.ignore = difficulty == 1
     return ann
 

@@ -67,16 +67,16 @@ def dice_loss(
     return float(loss), grad
 
 
-def smooth_l1(e: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    """0.5*e^2/delta inside the quadratic zone, |e| - 0.5*delta outside."""
+def smooth_l1(e: np.ndarray) -> np.ndarray:
+    """0.5*e^2 for |e| < 1, |e| - 0.5 outside."""
     e = np.asarray(e, dtype=np.float64)
     a = np.abs(e)
-    return np.where(a < delta, 0.5 * e * e / delta, a - 0.5 * delta)
+    return np.where(a < 1.0, 0.5 * e * e, a - 0.5)
 
 
-def smooth_l1_grad(e: np.ndarray, delta: float = 1.0) -> np.ndarray:
+def smooth_l1_grad(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
-    return np.where(np.abs(e) < delta, e / delta, np.sign(e))
+    return np.where(np.abs(e) < 1.0, e, np.sign(e))
 
 
 def reg_loss(
@@ -85,7 +85,6 @@ def reg_loss(
     gt_x: np.ndarray,
     gt_y: np.ndarray,
     region_mask: np.ndarray,
-    delta: float = 1.0,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Smooth L1 distance regression over central-region cells.
 
@@ -108,9 +107,9 @@ def reg_loss(
 
     ex = np.where(m, px - gx, 0.0)
     ey = np.where(m, py - gy, 0.0)
-    loss = 0.5 * (smooth_l1(ex, delta)[m].sum() + smooth_l1(ey, delta)[m].sum()) / n
-    grad_x = np.where(m, 0.5 * smooth_l1_grad(ex, delta) / n, 0.0)
-    grad_y = np.where(m, 0.5 * smooth_l1_grad(ey, delta) / n, 0.0)
+    loss = 0.5 * (smooth_l1(ex)[m].sum() + smooth_l1(ey)[m].sum()) / n
+    grad_x = np.where(m, 0.5 * smooth_l1_grad(ex) / n, 0.0)
+    grad_y = np.where(m, 0.5 * smooth_l1_grad(ey) / n, 0.0)
     return float(loss), grad_x, grad_y
 
 

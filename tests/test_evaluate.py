@@ -212,6 +212,53 @@ def test_match_equals_brute_force_on_random_pages(mode):
     assert touching > 0 and pruned > 0
 
 
+@pytest.mark.parametrize("mode", ["polygon", "quad"])
+def test_match_scores_each_near_pair_at_most_once(monkeypatch, mode):
+    """Spy on the IoU work: every scored pair has touching bounding boxes, no
+    pair is scored twice, and a detection that matched scores no ignore region."""
+    origin = {}   # id of each polygon match builds or is given -> ("det" | "gt", index)
+    made = []     # keeps those polygons alive, so their ids stay unique
+
+    def track(poly, key):
+        origin[id(poly)] = key
+        made.append(poly)
+        return poly
+
+    gt_polygon, quad = AnnotationPolygon.polygon, evaluate.min_area_rect
+    monkeypatch.setattr(AnnotationPolygon, "polygon", lambda g: track(gt_polygon(g), origin[id(g)]))
+    monkeypatch.setattr(evaluate, "min_area_rect", lambda p: track(quad(p), origin[id(p)]))
+    scored = []
+
+    def spy_iou(a, b):
+        scored.append((a, b))
+        return polygon_iou(a, b)
+
+    monkeypatch.setattr(evaluate, "polygon_iou", spy_iou)
+
+    rng = np.random.default_rng(5)
+    ignore_scored = matched = 0
+    for _ in range(40):
+        dets, gts = random_page(rng)
+        origin.clear()
+        for i, d in enumerate(dets):
+            track(d.polygon, ("det", i))
+        origin.update({id(g): ("gt", i) for i, g in enumerate(gts)})
+        scored.clear()
+        rep = evaluate.match(dets, gts, iou_threshold=0.3, mode=mode)
+        pairs = [(origin[id(a)], origin[id(b)]) for a, b in scored]
+        assert all(d[0] == "det" and g[0] == "gt" for d, g in pairs)
+        assert len(set(pairs)) == len(pairs)
+        for a, b in scored:
+            (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.bounds(), b.bounds()
+            assert max(ax0 - bx1, bx0 - ax1, ay0 - by1, by0 - ay1) <= 1e-6
+        won = {di for di, _, _ in rep.matches}
+        for (_, di), (_, gi) in pairs:
+            assert not (di in won and gts[gi].ignore)
+            ignore_scored += gts[gi].ignore
+        matched += len(won)
+    assert ignore_scored > 0 and matched > 0
+
+
 @pytest.mark.parametrize(
     "counts,scores",
     [

@@ -86,6 +86,15 @@ class TestMsraTd500:
             with pytest.raises(formats.ParseError):
                 formats.parse_msra_td500("0 0 1e308 0 1e308 10 0")
 
+    def test_corner_past_max_coord(self):
+        # every field is in bounds, but the far corner lies at 1.8e15
+        with pytest.raises(formats.ParseError, match="box corner exceeds 1e\\+15 in magnitude"):
+            formats.parse_msra_td500("0 0 9e14 9e14 9e14 9e14 0")
+
+    def test_corner_on_max_coord(self):
+        ann = formats.parse_msra_td500("0 0 0 0 1e15 1e15 0")
+        assert np.abs(ann.closed_vertices()).max() == formats.MAX_COORD
+
 
 class TestTotaltext:
     def test_quad(self):

@@ -82,7 +82,7 @@ class TestSmoothL1:
         m = np.ones((1, 1))
         loss, gx, gy = losses.reg_loss(
             np.array([[0.5]]), np.array([[0.0]]),
-            np.array([[0.0]]), np.array([[0.0]]), m, delta=1.0,
+            np.array([[0.0]]), np.array([[0.0]]), m,
         )
         assert loss == pytest.approx(0.0625, abs=1e-12)
 
@@ -90,7 +90,7 @@ class TestSmoothL1:
         m = np.ones((1, 1))
         loss, gx, gy = losses.reg_loss(
             np.array([[2.0]]), np.array([[0.0]]),
-            np.array([[0.0]]), np.array([[0.0]]), m, delta=1.0,
+            np.array([[0.0]]), np.array([[0.0]]), m,
         )
         assert loss == pytest.approx(0.75, abs=1e-12)
 
@@ -108,17 +108,16 @@ class TestSmoothL1:
         assert not gx.any() and not gy.any()
 
     def test_continuity_at_kink(self):
-        delta = 1.0
         eps = 1e-7
-        below = losses.smooth_l1(np.array(delta - eps), delta)
-        above = losses.smooth_l1(np.array(delta + eps), delta)
+        below = losses.smooth_l1(np.array(1.0 - eps))
+        above = losses.smooth_l1(np.array(1.0 + eps))
         assert abs(above - below) <= 1e-6
-        gb = losses.smooth_l1_grad(np.array(delta - eps), delta)
-        ga = losses.smooth_l1_grad(np.array(delta + eps), delta)
+        gb = losses.smooth_l1_grad(np.array(1.0 - eps))
+        ga = losses.smooth_l1_grad(np.array(1.0 + eps))
         assert abs(ga - gb) <= 1e-6
 
     def test_gradient_matches_finite_differences(self, rng):
-        # Sample errors away from the kink neighborhood |e - delta| < 1e-3.
+        # Sample errors away from the kink neighborhood ||e| - 1| < 1e-3.
         px = rng.normal(0, 2, (4, 4))
         py = rng.normal(0, 2, (4, 4))
         gx = np.zeros((4, 4))
