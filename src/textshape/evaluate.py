@@ -80,7 +80,7 @@ def match(
     mode both sides are reduced to their minimum-area oriented rectangles
     first. The threshold must lie in (0, 1]. polygon_iou runs only on pairs
     whose bounding boxes overlap or touch, up to rounding: any other pair
-    has IoU exactly 0 (see polygon_mask), which never reaches the threshold.
+    has IoU exactly 0 (see geom.polygon_cells), which never reaches the threshold.
     """
     _check_match_args(iou_threshold, mode)
     det_polys = [d.polygon for d in dets]
@@ -89,7 +89,7 @@ def match(
         det_polys = list(map(min_area_rect, det_polys))
         gt_polys = list(map(min_area_rect, gt_polys))
     db, gb = (np.array([p.bounds() for p in ps]).reshape(-1, 4) for ps in (det_polys, gt_polys))
-    tol = 1e-9 * (1.0 + np.abs(np.vstack([db, gb])).max(initial=0.0))   # see polygon_mask
+    tol = 1e-9 * (1.0 + np.abs(np.vstack([db, gb])).max(initial=0.0))   # see geom.polygon_cells
     near = ((db[:, None, :2] <= gb[:, 2:] + tol) & (gb[:, :2] <= db[:, None, 2:] + tol)).all(2)
 
     taken: set[int] = set()

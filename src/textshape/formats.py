@@ -48,7 +48,6 @@ from .geom import MAX_COORD, Polygon
 
 MSRR_MAGIC = b"MSRR"
 MSRR_VERSION = 1
-ANNOTATION_FORMATS = ("ctw1500", "icdar2015", "msra_td500", "totaltext")
 
 
 class ParseError(ValueError):
@@ -56,7 +55,7 @@ class ParseError(ValueError):
 
 
 class RasterFormatError(ValueError):
-    """Bad magic, truncated payload or unsupported MSRR layout."""
+    """Bad magic, a payload of the wrong size or an unsupported MSRR layout."""
 
 
 def _floats(tokens: list[str], what: str) -> list[float]:
@@ -152,25 +151,6 @@ def parse_totaltext(line: str) -> AnnotationPolygon:
     return ann
 
 
-_PARSERS = {
-    "ctw1500": parse_ctw1500,
-    "icdar2015": parse_icdar2015,
-    "msra_td500": parse_msra_td500,
-    "totaltext": parse_totaltext,
-}
-
-
-def _by_format(table: dict, fmt: str):
-    try:
-        return table[fmt]
-    except KeyError:
-        raise ValueError(f"unknown annotation format {fmt!r}") from None
-
-
-def parse_annotation_line(line: str, fmt: str) -> AnnotationPolygon:
-    return _by_format(_PARSERS, fmt)(line)
-
-
 def _fmt_coord(v: float) -> str:
     """Shortest exact decimal for a coordinate (ints stay ints)."""
     v = float(v)
@@ -213,16 +193,28 @@ def format_totaltext(ann: AnnotationPolygon) -> str:
     return f"{len(ring)},{coords},{1 if ann.ignore else 0}"
 
 
-_FORMATTERS = {
-    "ctw1500": format_ctw1500,
-    "icdar2015": format_icdar2015,
-    "msra_td500": format_msra_td500,
-    "totaltext": format_totaltext,
+_CODECS = {   # name: (parser, formatter)
+    "ctw1500": (parse_ctw1500, format_ctw1500),
+    "icdar2015": (parse_icdar2015, format_icdar2015),
+    "msra_td500": (parse_msra_td500, format_msra_td500),
+    "totaltext": (parse_totaltext, format_totaltext),
 }
+ANNOTATION_FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str) -> tuple:
+    try:
+        return _CODECS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown annotation format {fmt!r}") from None
+
+
+def parse_annotation_line(line: str, fmt: str) -> AnnotationPolygon:
+    return _codec(fmt)[0](line)
 
 
 def format_annotation_line(ann: AnnotationPolygon, fmt: str) -> str:
-    return _by_format(_FORMATTERS, fmt)(ann)
+    return _codec(fmt)[1](ann)
 
 
 @dataclass
@@ -260,7 +252,7 @@ def read_annotation_file(path: str | Path, fmt: str) -> DatasetRecord:
     """Read one per-image annotation file; the image size is the annotation
     extent rounded up."""
     path = Path(path)
-    annotations = _parse_lines(path, _by_format(_PARSERS, fmt))
+    annotations = _parse_lines(path, _codec(fmt)[0])
     extent = np.zeros(2)
     for ann in annotations:
         extent = np.maximum(extent, ann.closed_vertices().max(axis=0))
@@ -314,32 +306,34 @@ def _read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         version, width, height, stride, channels = struct.unpack("<5I", header[4:])
         if version != MSRR_VERSION:
             raise RasterFormatError(f"unsupported MSRR version {version}")
+        if channels not in (3, 4):
+            raise RasterFormatError(f"unsupported channel count {channels}")
         if width < 1 or height < 1 or stride < 1:
             raise RasterFormatError(f"bad dimensions {width}x{height} stride {stride}")
         grid = RasterGrid(width=width, height=height, stride=stride)   # the cell budget
-        blob = fh.read()
-    size = width * height * 4
-    if len(blob) != channels * size:
+        payload = channels * width * height * 4
+        blob = fh.read(payload + 1)   # the one byte more tells a long file
+    if len(blob) < payload:
         raise RasterFormatError(
-            f"truncated payload, expected {24 + channels * size} bytes, got {24 + len(blob)}"
+            f"truncated payload, expected {24 + payload} bytes, got {24 + len(blob)}"
         )
+    if len(blob) > payload:
+        raise RasterFormatError(f"payload too long, expected {24 + payload} bytes, got more")
     planes = np.frombuffer(blob, dtype="<f4").reshape(channels, height, width).copy()
-    if channels == 4:
-        flags = []
-        for plane in (planes[0], planes[3]):
-            if not np.isin(plane, (0.0, 1.0)).all():
-                raise RasterFormatError("label mask holds a value other than 0 or 1")
-            flags.append(plane.astype(np.uint8))
-        return LabelRaster(
-            grid=grid,
-            mask=flags[0],
-            dist_x=planes[1],
-            dist_y=planes[2],
-            ignore_mask=flags[1],
-        )
     if channels == 3:
         return PredictionRaster(grid=grid, prob=planes[0], dist_x=planes[1], dist_y=planes[2])
-    raise RasterFormatError(f"unsupported channel count {channels}")
+    flags = []
+    for plane in (planes[0], planes[3]):
+        if not np.isin(plane, (0.0, 1.0)).all():
+            raise RasterFormatError("label mask holds a value other than 0 or 1")
+        flags.append(plane.astype(np.uint8))
+    return LabelRaster(
+        grid=grid,
+        mask=flags[0],
+        dist_x=planes[1],
+        dist_y=planes[2],
+        ignore_mask=flags[1],
+    )
 
 
 def write_detections(path: str | Path, detections: list[Detection]) -> None:

@@ -569,8 +569,9 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     even number of keys, so the sorted keys pair up into runs [k0, k1),
     [k2, k3), ... of inside cells, whose centers lie in [x_left, x_right), as
     in :func:`point_in_polygon`: for the square (0,0)-(4,4) a center at
-    (0, 2) is inside and one at (4, 2) outside. Read by :func:`polygon_mask`,
-    :func:`polygon_iou` and ``labels._region_cells``.
+    (0, 2) is inside and one at (4, 2) outside. Read by :func:`polygon_cells`,
+    which decodes the runs into cells, and by :func:`polygon_iou`, which
+    counts run lengths without decoding them.
     """
     if not (cell[0] > 0 and cell[1] > 0):
         raise ValueError(f"cell sizes must be positive, got {cell}")
@@ -581,24 +582,35 @@ def _flip_keys(vertices, origin, cell, shape: tuple[int, int]) -> np.ndarray:
     return np.sort(line * (nx + 1) + np.searchsorted(xc, xs, side="left"))
 
 
+def polygon_cells(vertices, origin, cell, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the cells of :func:`_flip_keys`' runs, in raster order.
+
+    The one decoder of those keys: the runs [k0, k1), [k2, k3), ... of the
+    sorted keys ``row * (nx + 1) + col`` expand into their cells, which are
+    the cells whose center is inside by the even-odd rule, whatever the
+    number of crossings (self-intersecting rings included). Set centers lie
+    in [xmin, xmax) x [ymin, ymax) of the vertices, up to a few ulps of
+    rounding in the crossing x. Linear in crossings plus cells; cell sizes
+    must be positive. Read by ``labels.encode``'s region and ignore rasters
+    and by :func:`polygon_mask`.
+    """
+    keys = _flip_keys(vertices, origin, cell, shape)
+    k0, k1 = keys[0::2], keys[1::2]
+    n = k1 - k0
+    return np.divmod(np.arange(n.sum()) + np.repeat(k0 - (np.cumsum(n) - n), n), shape[1] + 1)
+
+
 def polygon_mask(
     vertices,
     origin: tuple[float, float],
     cell: tuple[float, float],
     shape: tuple[int, int],
 ) -> np.ndarray:
-    """Rasterize a polygon: cell is set when its center is inside.
-
-    Scanline even-odd fill from the flips of :func:`_flip_keys` (the ones
-    :func:`polygon_iou` counts): a cell is inside when its running uint8 flip
-    count (mod 256 keeps the parity) is odd, so set centers lie in [xmin,
-    xmax) x [ymin, ymax) of the vertices, up to a few ulps of rounding in the
-    crossing x. Linear in crossings plus cells. Cell sizes must be positive.
-    """
-    ny, nx = shape
-    pos = _flip_keys(vertices, origin, cell, shape)
-    flips = np.bincount(pos, minlength=ny * (nx + 1)).reshape(ny, nx + 1)[:, :nx]
-    return (np.cumsum(flips.astype(np.uint8), axis=1, dtype=np.uint8) & 1).view(bool)
+    """Rasterize a polygon: a (ny, nx) bool array with the cells of
+    :func:`polygon_cells` set, i.e. those whose center is inside."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[polygon_cells(vertices, origin, cell, shape)] = True
+    return mask
 
 
 def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:

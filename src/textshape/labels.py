@@ -16,12 +16,12 @@ import numpy as np
 
 from .geom import (
     Polygon,
-    _flip_keys,
     as_points,
     drop_repeats,
     is_simple,
     nearest_boundary_points,
     point_in_polygon,
+    polygon_cells,
     shoelace_area,
 )
 
@@ -211,21 +211,15 @@ def _region_cells(poly: Polygon, grid: RasterGrid) -> tuple[np.ndarray, np.ndarr
     """Flat indices (row * width + col) and (N, 2) centers of the grid cells
     whose centers fall inside the polygon, in raster order.
 
-    The cells are the polygon's scanline runs: the sorted keys of
-    ``_flip_keys`` over the grid pair up into runs [k0, k1) of key
-    ``row * (width + 1) + col``. ``point_in_polygon``, which shares their
-    tie rule, keeps every run cell; the call stays only because perfbench
-    times the region raster under that name (ROADMAP item 1).
+    The cells are ``polygon_cells``' runs. ``point_in_polygon``, which
+    shares their tie rule, keeps every run cell; the call stays only because
+    perfbench times the region raster under that name (ROADMAP item 1).
     """
-    w = grid.width
-    keys = _flip_keys(poly.vertices, (0.0, 0.0), (grid.stride, grid.stride), grid.shape)
-    k0, k1 = keys[0::2], keys[1::2]
-    n = k1 - k0
-    r, c = np.divmod(np.arange(n.sum()) + np.repeat(k0 - (np.cumsum(n) - n), n), w + 1)
+    r, c = polygon_cells(poly.vertices, (0.0, 0.0), (grid.stride, grid.stride), grid.shape)
     centers = grid.cell_centers(r, c)
     inside = point_in_polygon(centers, poly.vertices)
     # np.compress: a boolean index on a 2-D array is several times slower
-    return (r * w + c)[inside], np.compress(inside, centers, axis=0)
+    return (r * grid.width + c)[inside], np.compress(inside, centers, axis=0)
 
 
 def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaster:
@@ -236,17 +230,18 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
     point of the owning annotation's full boundary. A cell claimed by two
     central regions goes to the annotation whose boundary is nearer, and the
     conflict is counted in the returned stats. Ignore annotations only fill
-    the ignore mask (over their full outline).
+    the ignore mask, over their full outline, straight from its
+    ``polygon_cells``.
     """
     out = LabelRaster.zeros(grid)
     stats = EncodeStats()
     # flat views: a cell (r, c) is index r * width + c
     mask, dist_x, dist_y = out.mask.ravel(), out.dist_x.ravel(), out.dist_y.ravel()
 
+    cell = (grid.stride, grid.stride)
     for ann in annotations:
         if ann.ignore:
-            flat, _ = _region_cells(ann.polygon(), grid)
-            out.ignore_mask.ravel()[flat] = 1
+            out.ignore_mask[polygon_cells(ann.polygon().vertices, (0.0, 0.0), cell, grid.shape)] = 1
             continue
         stats.instances += 1
         flat, centers = _region_cells(central_region_polygon(ann), grid)

@@ -1,7 +1,8 @@
 """Static SVG rendering of ground truth, detections and derived quads.
 
 Output is deterministic for fixed input: one ``<g>`` layer per source,
-ground truth in blue, detections in green, quads in red.
+ground truth in blue, detections in green, quads in red. The canvas runs
+from the origin to past the largest x and y of every ring drawn.
 """
 
 from __future__ import annotations
@@ -9,12 +10,6 @@ from __future__ import annotations
 from .detect import Detection
 from .geom import min_area_rect
 from .labels import AnnotationPolygon
-
-_LAYERS = (
-    ("ground_truth", "#1f4fd8", "gt"),
-    ("detections", "#12a33b", "det"),
-    ("quads", "#d81f1f", "quad"),
-)
 
 
 def _path(vertices) -> str:
@@ -32,31 +27,23 @@ def render_svg(
     ``with_quads`` adds a layer with the minimum-area rectangle of every
     detection polygon.
     """
-    groups: dict[str, list[str]] = {"gt": [], "det": [], "quad": []}
-    max_x = max_y = 1.0
-    for ann in ground_truth:
-        ring = ann.closed_vertices()
-        groups["gt"].append(_path(ring))
-        max_x = max(max_x, float(ring[:, 0].max()))
-        max_y = max(max_y, float(ring[:, 1].max()))
-    for det in detections:
-        groups["det"].append(_path(det.polygon.vertices))
-        max_x = max(max_x, float(det.polygon.vertices[:, 0].max()))
-        max_y = max(max_y, float(det.polygon.vertices[:, 1].max()))
-        if with_quads:
-            groups["quad"].append(_path(min_area_rect(det.polygon).vertices))
-
-    w, h = int(max_x + 2), int(max_y + 2)
+    layers = [
+        ("ground_truth", "#1f4fd8", [ann.closed_vertices() for ann in ground_truth]),
+        ("detections", "#12a33b", [det.polygon.vertices for det in detections]),
+    ]
+    if with_quads:
+        quads = [min_area_rect(det.polygon).vertices for det in detections]
+        layers.append(("quads", "#d81f1f", quads))
+    rings = [ring for _, _, group in layers for ring in group]
+    w = int(max([1.0] + [float(ring[:, 0].max()) for ring in rings]) + 2)
+    h = int(max([1.0] + [float(ring[:, 1].max()) for ring in rings]) + 2)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
     ]
-    for layer, color, key in _LAYERS:
-        if key == "quad" and not with_quads:
-            continue
-        lines.append(f'  <g id="{layer}" fill="none" stroke="{color}" stroke-width="2">')
-        for d in groups[key]:
-            lines.append(f'    <path d="{d}"/>')
+    for name, color, group in layers:
+        lines.append(f'  <g id="{name}" fill="none" stroke="{color}" stroke-width="2">')
+        lines.extend(f'    <path d="{_path(ring)}"/>' for ring in group)
         lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

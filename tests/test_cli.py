@@ -324,6 +324,17 @@ class TestRenderCommand:
         quads = svg.split('id="quads"', 1)[1].split("</g>", 1)[0]
         assert quads.count("<path") == 1   # one quad per detection
 
+    def test_canvas_holds_the_quads(self):
+        # this triangle's minimum-area rectangle reaches y = 62.41, past the
+        # triangle's own y = 50
+        from textshape.detect import Detection
+        from textshape.geom import Polygon
+        from textshape.render import render_svg
+
+        det = Detection(polygon=Polygon.make([(0, 0), (100, 40), (60, 50)]), score=0.8)
+        assert 'height="52"' in render_svg([], [det])
+        assert 'width="102" height="64"' in render_svg([], [det], with_quads=True)
+
     def test_empty_inputs_valid_svg(self, tmp_path):
         out = tmp_path / "o.svg"
         rc = cli.main(["render", str(out)])

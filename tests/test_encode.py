@@ -249,12 +249,16 @@ class TestRegionCells:
             assert len(flat) == 0
 
     def test_suite_equals_bbox_raster(self):
-        """Every 4th suite instance: its central region, and its full outline
-        as the ignore-mask path rasterizes it."""
+        """Every 4th suite instance: its central region, and the ignore mask
+        that encode writes for its full outline."""
         for inst in roundtrip_suite()[::4]:
             grid = enc.RasterGrid.for_image(*inst.image_size, stride=1)
             assert len(assert_region_equals_bbox(enc.central_region_polygon(inst.annotation), grid))
-            assert len(assert_region_equals_bbox(inst.annotation.polygon(), grid))
+            ann = enc.AnnotationPolygon(inst.annotation.upper, inst.annotation.lower, ignore=True)
+            want_flat, _ = bbox_region_cells(ann.polygon(), grid)
+            got = enc.encode([ann], grid).ignore_mask
+            assert len(want_flat)
+            assert np.flatnonzero(got).tobytes() == want_flat.tobytes()
 
     @pytest.fixture
     def tested(self, monkeypatch):
@@ -287,6 +291,19 @@ class TestRegionCells:
         n_tested, n_inside = self.region_work(tested, inst.annotation, grid)
         assert n_inside == 108_159   # of the bbox's 1,988,123 centers
         assert n_tested == n_inside
+
+    def test_ignore_regions_send_nothing_to_point_in_polygon(self, tested):
+        """An ignore region is written straight from its runs; a real
+        annotation still sends its central cells, in one call."""
+        grid = enc.RasterGrid.for_image(800, 800, 1)
+        dont_care = arc_annotation(400, 400, 250, 60, 120)
+        dont_care.ignore = True
+        label = enc.encode([dont_care], grid)
+        assert label.ignore_mask.sum() > 10_000
+        assert tested == []
+        real = rect_annotation(100, 350, 600, 30, angle_deg=45)
+        label = enc.encode([dont_care, real], grid)
+        assert [len(t) for t in tested] == [int(label.mask.sum())]
 
     def test_arc_tests_only_its_inside_cells(self, tested):
         """Up to two runs per row: the gap between the arms is never tested."""

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,8 +300,36 @@ class TestMsrrFormat:
         formats.write_raster(path, label_raster_from(rng))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(formats.RasterFormatError):
+        with pytest.raises(formats.RasterFormatError) as err:
             formats.read_raster(path)
+        assert str(err.value) == (
+            f"{path}: truncated payload, expected {len(blob)} bytes, got {len(blob) - 5}"
+        )
+
+    def test_long_payload_read_no_further_than_one_byte(self, tmp_path):
+        # a 3x2 header before a sparse 64 MiB payload: the parent read it whole
+        header = formats.MSRR_MAGIC + struct.pack("<5I", 1, 3, 2, 1, 3)
+        path = tmp_path / "long.msrr"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(formats.RasterFormatError) as err:
+                formats.read_raster(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: payload too long, expected 96 bytes, got more"
+        assert peak < 2**20
+
+    def test_channel_count_checked_before_payload_size(self, tmp_path):
+        header = formats.MSRR_MAGIC + struct.pack("<5I", 1, 3, 2, 1, 9)
+        path = tmp_path / "nine.msrr"
+        path.write_bytes(header + b"\x00" * 7)
+        with pytest.raises(formats.RasterFormatError) as err:
+            formats.read_raster(path)
+        assert str(err.value) == f"{path}: unsupported channel count 9"
 
     def test_unknown_version(self, tmp_path):
         header = formats.MSRR_MAGIC + struct.pack("<5I", 9, 1, 1, 1, 3)

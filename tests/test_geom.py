@@ -459,8 +459,9 @@ class TestPointInPolygon:
 
     def test_mask_parity_survives_more_than_255_crossings_in_a_cell(self):
         # A 400-tooth saw in x in (0, 1) puts about 400 crossings into each
-        # of two cells per row; the uint8 running count of the crossings at
-        # or left of each center wraps but keeps parity.
+        # of two cells per row, so a running count of the crossings at or
+        # left of each center would wrap in 8 bits; the sorted keys' runs
+        # keep parity at any count.
         k = np.arange(400)
         teeth = np.stack([1 - (k + 0.5) / 400, np.ones(400), 1 - (k + 1) / 400, np.full(400, 10.0)], 1)
         v = np.vstack([[(0, 0), (30, 0), (30, 10), (1, 10)], teeth.reshape(-1, 2)])
@@ -474,6 +475,31 @@ class TestPointInPolygon:
         got = geom.polygon_mask(v, origin, cell, shape)
         assert 0 < want.sum() < want.size
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["free", "half_lattice", "self_crossing"])
+    def test_cells_match_per_edge_parity_on_random_rings(self, rng, kind):
+        """polygon_cells against the per-edge oracle: the same cells, in
+        raster order, on arbitrary origins and cells."""
+        total = 0
+        for _ in range(60):
+            n = int(rng.integers(3, 12))
+            if kind == "half_lattice":
+                # origin (0, 0), unit cells: vertices and horizontal edges fall
+                # on center rows and columns, where tie sides differ
+                v = rng.integers(-2, 24, size=(n, 2)) / 2.0
+                origin, cell = (0.0, 0.0), (1.0, 1.0)
+            else:
+                v = rng.uniform(-3.0, 15.0, size=(n, 2))
+                origin, cell = tuple(rng.uniform(-2.0, 2.0, 2)), tuple(rng.uniform(0.3, 1.7, 2))
+            if kind == "self_crossing":
+                v = np.vstack([v, v[::-1] + rng.normal(0.0, 2.0, size=(n, 2))])
+            shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+            rows, cols = geom.polygon_cells(v, origin, cell, shape)
+            want = self.left_crossing_parity(v, origin, cell, shape)
+            np.testing.assert_array_equal(np.ravel_multi_index((rows, cols), shape),
+                                          np.flatnonzero(want))
+            total += len(rows)
+        assert total > 0
 
     @pytest.mark.parametrize("cell", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
     def test_mask_rejects_non_positive_cell(self, cell):
