@@ -82,15 +82,15 @@ class PredictionRaster:
     def from_label(cls, label: LabelRaster) -> "PredictionRaster":
         """Perfect prediction for a label raster (roundtrip harness).
 
-        The distance planes are the label's own arrays when they are already
-        float64, not copies: a write into one shows in the other. ``decode``
-        and ``add_distance_noise`` never write into their input.
+        The distance planes are the label's own arrays, in its dtype: a write
+        into one shows in the other. ``decode`` and ``add_distance_noise``
+        never write into their input and add the planes to float64 exactly.
         """
         return cls(
             grid=label.grid,
             prob=label.mask.astype(np.float64),
-            dist_x=np.asarray(label.dist_x, dtype=np.float64),
-            dist_y=np.asarray(label.dist_y, dtype=np.float64),
+            dist_x=label.dist_x,
+            dist_y=label.dist_y,
         )
 
 

@@ -73,9 +73,9 @@ def _floats(tokens: list[str], what: str) -> list[float]:
     return out
 
 
-def _ring_annotation(coords) -> AnnotationPolygon:
+def _ring_annotation(coords, ignore: bool = False) -> AnnotationPolygon:
     try:
-        return split_sides(np.reshape(coords, (-1, 2)))
+        return split_sides(np.reshape(coords, (-1, 2)), ignore=ignore)
     except MalformedAnnotationError as exc:
         raise ParseError(str(exc)) from None
 
@@ -97,9 +97,7 @@ def parse_icdar2015(line: str) -> AnnotationPolygon:
         raise ParseError(f"expected 8 coordinates plus transcription, got {len(parts)} fields")
     coords = _floats(parts[:8], "coordinate")
     transcription = ",".join(parts[8:])
-    ann = _ring_annotation(coords)
-    ann.ignore = transcription == "###"
-    return ann
+    return _ring_annotation(coords, ignore=transcription == "###")
 
 
 def parse_msra_td500(line: str) -> AnnotationPolygon:
@@ -119,9 +117,7 @@ def parse_msra_td500(line: str) -> AnnotationPolygon:
     ring = (corners - [cx, cy]) @ rot.T + [cx, cy]
     if np.abs(ring).max() > MAX_COORD:
         raise ParseError(f"box corner exceeds {MAX_COORD:g} in magnitude")
-    ann = _ring_annotation(ring)
-    ann.ignore = difficulty == 1
-    return ann
+    return _ring_annotation(ring, ignore=difficulty == 1)
 
 
 def parse_totaltext(line: str) -> AnnotationPolygon:
@@ -146,9 +142,7 @@ def parse_totaltext(line: str) -> AnnotationPolygon:
         ignore = False
     else:
         raise ParseError(f"expected {2 * n} coordinates for n={n}, got {len(rest)}")
-    ann = _ring_annotation(_floats(rest, "coordinate"))
-    ann.ignore = ignore
-    return ann
+    return _ring_annotation(_floats(rest, "coordinate"), ignore=ignore)
 
 
 def _fmt_coord(v: float) -> str:
@@ -283,7 +277,7 @@ def write_raster(path: str | Path, raster: LabelRaster | PredictionRaster) -> No
     with open(path, "wb") as fh:
         fh.write(header)
         for plane in planes:
-            fh.write(np.ascontiguousarray(plane, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(plane, dtype="<f4"))
 
 
 def read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
@@ -311,28 +305,26 @@ def _read_raster(path: str | Path) -> LabelRaster | PredictionRaster:
         if width < 1 or height < 1 or stride < 1:
             raise RasterFormatError(f"bad dimensions {width}x{height} stride {stride}")
         grid = RasterGrid(width=width, height=height, stride=stride)   # the cell budget
-        payload = channels * width * height * 4
-        blob = fh.read(payload + 1)   # the one byte more tells a long file
-    if len(blob) < payload:
+        planes = np.empty((channels, height, width), dtype="<f4")
+        got = fh.readinto(planes)
+        longer = fh.read(1)   # the one byte more tells a long file
+    if got < planes.nbytes:
         raise RasterFormatError(
-            f"truncated payload, expected {24 + payload} bytes, got {24 + len(blob)}"
+            f"truncated payload, expected {24 + planes.nbytes} bytes, got {24 + got}"
         )
-    if len(blob) > payload:
-        raise RasterFormatError(f"payload too long, expected {24 + payload} bytes, got more")
-    planes = np.frombuffer(blob, dtype="<f4").reshape(channels, height, width).copy()
+    if longer:
+        raise RasterFormatError(f"payload too long, expected {24 + planes.nbytes} bytes, got more")
     if channels == 3:
         return PredictionRaster(grid=grid, prob=planes[0], dist_x=planes[1], dist_y=planes[2])
-    flags = []
-    for plane in (planes[0], planes[3]):
-        if not np.isin(plane, (0.0, 1.0)).all():
-            raise RasterFormatError("label mask holds a value other than 0 or 1")
-        flags.append(plane.astype(np.uint8))
+    mask, dist_x, dist_y, ignore = planes
+    if not all(np.isin(plane, (0.0, 1.0)).all() for plane in (mask, ignore)):
+        raise RasterFormatError("label mask holds a value other than 0 or 1")
     return LabelRaster(
         grid=grid,
-        mask=flags[0],
-        dist_x=planes[1],
-        dist_y=planes[2],
-        ignore_mask=flags[1],
+        mask=mask.astype(np.uint8),
+        dist_x=dist_x,
+        dist_y=dist_y,
+        ignore_mask=ignore.astype(np.uint8),
     )
 
 

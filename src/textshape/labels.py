@@ -70,7 +70,7 @@ class AnnotationPolygon:
         return Polygon.make(self.closed_vertices())
 
 
-def split_sides(vertices) -> AnnotationPolygon:
+def split_sides(vertices, ignore: bool = False) -> AnnotationPolygon:
     """Split a flat vertex ring into upper/lower chains.
 
     Expects the dataset convention "upper chain left to right, then lower
@@ -82,7 +82,7 @@ def split_sides(vertices) -> AnnotationPolygon:
     if n < 4 or n % 2 != 0:
         raise MalformedAnnotationError(f"need an even vertex count >= 4, got {n}")
     half = n // 2
-    return AnnotationPolygon.make(pts[:half], pts[half:][::-1])
+    return AnnotationPolygon.make(pts[:half], pts[half:][::-1], ignore=ignore)
 
 
 def _zip_edges(ann: AnnotationPolygon) -> tuple[np.ndarray, np.ndarray]:

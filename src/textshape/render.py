@@ -1,11 +1,16 @@
 """Static SVG rendering of ground truth, detections and derived quads.
 
 Output is deterministic for fixed input: one ``<g>`` layer per source,
-ground truth in blue, detections in green, quads in red. The canvas runs
-from the origin to past the largest x and y of every ring drawn.
+ground truth in blue, detections in green, quads in red. On each axis the
+canvas runs from the origin, or from 2 below the smallest coordinate where a
+ring drawn reaches below 0, to 2 past the largest coordinate of every ring.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .detect import Detection
 from .geom import min_area_rect
@@ -35,11 +40,13 @@ def render_svg(
         quads = [min_area_rect(det.polygon).vertices for det in detections]
         layers.append(("quads", "#d81f1f", quads))
     rings = [ring for _, _, group in layers for ring in group]
-    w = int(max([1.0] + [float(ring[:, 0].max()) for ring in rings]) + 2)
-    h = int(max([1.0] + [float(ring[:, 1].max()) for ring in rings]) + 2)
+    pts = np.vstack([[(0.0, 0.0), (1.0, 1.0)], *rings])   # an empty canvas is 3x3
+    x0, y0 = (math.floor(v) - 2 if v < 0 else 0 for v in pts.min(axis=0))
+    w, h = (int(v + 2) - v0 for v, v0 in zip(pts.max(axis=0), (x0, y0)))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="{x0} {y0} {w} {h}">',
     ]
     for name, color, group in layers:
         lines.append(f'  <g id="{name}" fill="none" stroke="{color}" stroke-width="2">')

@@ -326,14 +326,26 @@ class TestRenderCommand:
 
     def test_canvas_holds_the_quads(self):
         # this triangle's minimum-area rectangle reaches y = 62.41, past the
-        # triangle's own y = 50
+        # triangle's own y = 50, and x = -8.97, left of the origin
         from textshape.detect import Detection
         from textshape.geom import Polygon
         from textshape.render import render_svg
 
         det = Detection(polygon=Polygon.make([(0, 0), (100, 40), (60, 50)]), score=0.8)
         assert 'height="52"' in render_svg([], [det])
-        assert 'width="102" height="64"' in render_svg([], [det], with_quads=True)
+        assert 'width="113" height="64" viewBox="-11 0 113 64"' in render_svg(
+            [], [det], with_quads=True
+        )
+
+    def test_canvas_starts_below_a_negative_ring(self):
+        # the rectangle (-40,-10)-(30,20): 2 below its minimum on each axis
+        from textshape.detect import Detection
+        from textshape.geom import Polygon
+        from textshape.render import render_svg
+
+        det = Detection(polygon=Polygon.make([(-40, -10), (30, -10), (30, 20), (-40, 20)]), score=1)
+        svg = render_svg([], [det])
+        assert 'width="74" height="34" viewBox="-42 -12 74 34"' in svg
 
     def test_empty_inputs_valid_svg(self, tmp_path):
         out = tmp_path / "o.svg"

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import textshape as ts
 from textshape import detect, evaluate, formats
 from textshape.labels import RasterGrid
-from textshape.synth import rect_annotation, separated_pair
+from textshape.synth import rect_annotation, roundtrip_suite, separated_pair
 from conftest import boundary_samples
 
 
@@ -609,6 +609,31 @@ class TestDecode:
             assert count == 1 and ious[0] >= 0.75
             out, before = encoded.pop()
             assert [p.tobytes() for p in (out.mask, out.dist_x, out.dist_y)] == before
+
+    def test_label_file_decodes_as_its_float64_conversion(self, tmp_path):
+        # decode and add_distance_noise add the float32 planes to float64,
+        # which is exact, so keeping them decodes bit for bit as a copy would
+        inst = roundtrip_suite()[-1]
+        grid = RasterGrid.for_image(*inst.image_size, 1)
+        path = tmp_path / "label.msrr"
+        formats.write_raster(path, ts.encode([inst.annotation], grid))
+        label = formats.read_raster(path)
+        pred = detect.PredictionRaster.from_label(label)
+        assert pred.dist_x is label.dist_x and pred.dist_y is label.dist_y
+        assert pred.dist_x.dtype == np.float32
+        wide = detect.PredictionRaster(
+            grid=grid,
+            prob=label.mask.astype(np.float64),
+            dist_x=label.dist_x.astype(np.float64),
+            dist_y=label.dist_y.astype(np.float64),
+        )
+        for sigma in (0.0, 1.0):
+            a = detect.decode(detect.add_distance_noise(pred, sigma, seed=1000))
+            b = detect.decode(detect.add_distance_noise(wide, sigma, seed=1000))
+            assert len(a) == len(b) == 1
+            for x, y in zip(a, b):
+                assert np.array_equal(x.polygon.vertices, y.polygon.vertices)
+                assert x.score == y.score
 
     def test_vertex_beyond_max_coord_rejected_and_output_readable(self, tmp_path):
         # distances scaled by 1e15 put a decoded vertex near -1.95e16

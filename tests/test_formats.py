@@ -232,6 +232,26 @@ def label_raster_from(rng, w=6, h=4, stride=2):
     )
 
 
+def prediction_raster_from(rng, w=6, h=4, stride=2):
+    grid = RasterGrid(width=w, height=h, stride=stride)
+    return PredictionRaster(
+        grid=grid,
+        prob=rng.random((h, w)),
+        dist_x=rng.normal(0, 3, (h, w)),
+        dist_y=rng.normal(0, 3, (h, w)),
+    )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMsrrFormat:
     def test_header_and_payload_sizes(self, tmp_path, rng):
         raster = label_raster_from(rng, w=2, h=2)
@@ -357,6 +377,36 @@ class TestMsrrFormat:
         assert str(err.value) == (
             f"{path}: grid 8192x8192 exceeds the budget of {MAX_GRID_CELLS} cells"
         )
+
+    @pytest.mark.parametrize("channels", [3, 4])
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path, rng, channels):
+        # 1024x512 cells, 2 MiB per float32 plane; a read that copies its
+        # payload peaks near twice that
+        w, h = 1024, 512
+        if channels == 3:
+            raster, masks = prediction_raster_from(rng, w=w, h=h, stride=1), 0
+        else:
+            raster, masks = label_raster_from(rng, w=w, h=h, stride=1), 2 * w * h   # uint8
+        path = tmp_path / "big.msrr"
+        formats.write_raster(path, raster)
+        payload = path.stat().st_size - 24
+        assert payload == channels * w * h * 4
+        assert traced_peak(lambda: formats.read_raster(path)) < payload + masks + 2**20
+
+    def test_write_converts_one_plane_at_a_time(self, tmp_path, rng):
+        # float64 planes: one float32 copy at a time, and no bytes copy of it
+        pred = prediction_raster_from(rng, w=1024, h=512, stride=1)
+        plane = 1024 * 512 * 4
+        assert traced_peak(lambda: formats.write_raster(tmp_path / "w.msrr", pred)) < plane + 2**20
+
+    def test_planes_read_back_writable(self, tmp_path, rng):
+        for raster in (label_raster_from(rng), prediction_raster_from(rng)):
+            path = tmp_path / "w.msrr"
+            formats.write_raster(path, raster)
+            back = formats.read_raster(path)
+            planes = [v for v in vars(back).values() if isinstance(v, np.ndarray)]
+            assert len(planes) == (4 if isinstance(back, LabelRaster) else 3)
+            assert all(plane.flags.writeable for plane in planes)
 
     def test_little_endian_on_disk(self, tmp_path, rng):
         raster = label_raster_from(rng, w=1, h=1)
