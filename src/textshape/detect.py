@@ -85,10 +85,13 @@ class PredictionRaster:
         The distance planes are the label's own arrays, in its dtype: a write
         into one shows in the other. ``decode`` and ``add_distance_noise``
         never write into their input and add the planes to float64 exactly.
+        ``prob`` is the 0/1 mask as float32, half the size of float64: still
+        a float plane, which may hold ``inf``, and its 0s and 1s threshold
+        and average exactly.
         """
         return cls(
             grid=label.grid,
-            prob=label.mask.astype(np.float64),
+            prob=label.mask.astype(np.float32),
             dist_x=label.dist_x,
             dist_y=label.dist_y,
         )

@@ -25,6 +25,11 @@ MIN_COVERAGE = 0.98
 MIN_CONTAINMENT = 0.9
 MAX_CONTAINMENT_PROBES = 512   # containment_probes keeps at most this many points
 
+# nearest_boundary_points: side (px) of the tiles it culls edges over, and
+# points per pass of its arithmetic.
+NEAREST_TILE = 16.0
+_CHUNK = 16384
+
 
 class DegenerateInputError(ValueError):
     """Fewer distinct points than required, or no usable area."""
@@ -400,6 +405,74 @@ def convex_hull(points) -> np.ndarray:
     return hull
 
 
+def _tiles(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Square tiles over the bounding box of the points (px, py): each
+    point's tile (an index into the occupied tiles), the occupied tiles'
+    (T, 2) centres and the side.
+
+    The side starts at NEAREST_TILE and doubles until the grid has at most
+    four tiles per point, so far-apart points never allocate a huge grid.
+    Coordinates are divided by the side (a power of two, so exactly) before
+    they are subtracted, which keeps spans near the float limit finite.
+    """
+    x0, y0 = px.min(), py.min()
+    side = NEAREST_TILE
+    while (px.max() / side - x0 / side + 1) * (py.max() / side - y0 / side + 1) > 4 * len(px):
+        side *= 2
+    tx = (px / side - x0 / side).astype(np.intp)   # >= 0, so the cast floors
+    ty = (py / side - y0 / side).astype(np.intp)
+    nx = int(tx.max()) + 1
+    flat = ty * nx + tx
+    occupied = np.bincount(flat) > 0
+    ty, tx = np.divmod(np.flatnonzero(occupied), nx)
+    centres = np.stack(((x0 / side + tx + 0.5) * side, (y0 / side + ty + 0.5) * side), axis=1)
+    return (np.cumsum(occupied) - 1)[flat], centres, side
+
+
+def _segment_feet(px, py, edges, t, fx, fy, d) -> None:
+    """Foot (fx, fy) and distance d of each point (px, py) on each edge,
+    written into (edges, points) buffers; t is a work buffer. ``edges``
+    stacks the edges' ax, ay, abx, aby and len2, each an (edges, 1) column.
+    Every output bit depends on these operations and their order."""
+    ax, ay, abx, aby, len2 = edges
+    np.subtract(px, ax, out=t)
+    t *= abx
+    np.subtract(py, ay, out=fx)
+    fx *= aby
+    t += fx
+    t /= len2
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, abx, out=fx)
+    fx += ax
+    np.multiply(t, aby, out=fy)
+    fy += ay
+    np.subtract(px, fx, out=t)
+    np.subtract(py, fy, out=d)
+    np.hypot(t, d, out=d)
+
+
+def _kept_edges(centres: np.ndarray, side: float, edges: np.ndarray, scale: float) -> np.ndarray:
+    """(edges, tiles) mask of the edges each tile of the given centres and
+    side keeps. An edge's distance over the tile lies within the tile's
+    half-diagonal h of its distance from the centre. An edge is dropped
+    only when that lower bound exceeds the tile's best upper bound plus the
+    1e-9 tie window plus 2**-40 of ``scale``, the largest |coordinate|,
+    which covers float rounding at that size. A NaN distance (from overflow
+    near the float limit) drops nothing in its tile, which then runs the
+    full search."""
+    drop = np.empty((edges.shape[1], len(centres)), dtype=bool)
+    half_diag = side * math.sqrt(0.5)
+    for lo in range(0, len(centres), _CHUNK):
+        c = centres[lo : lo + _CHUNK]
+        t, fx, fy, d = np.empty((4, edges.shape[1], len(c)))
+        _segment_feet(c[:, 0], c[:, 1], edges, t, fx, fy, d)
+        upper = d.min(axis=0) + half_diag
+        d -= half_diag
+        bound = upper + EPS * np.maximum(1.0, upper) + 2.0**-40 * scale
+        np.greater(d, bound, out=drop[:, lo : lo + len(c)])
+    return ~drop
+
+
 def nearest_boundary_points(points, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Closest boundary point on a polygon for each query point.
 
@@ -407,45 +480,83 @@ def nearest_boundary_points(points, vertices) -> tuple[np.ndarray, np.ndarray]:
     toward the candidate with the smallest y, then smallest x. Returns
     (feet (M, 2), distances (M,)).
 
-    The work arrays are laid out edges x points, so every reduction runs
-    down axis 0 across the (few) edges while the (many) points stay
-    contiguous; points go in chunks to bound memory.
+    Each point is tested only against the edges that can still be its
+    nearest. The points are binned into square tiles of NEAREST_TILE px
+    (larger when they are sparse, see ``_tiles``). Over a tile of
+    half-diagonal h, an edge's distance lies within h of its distance from
+    the tile centre, so a tile keeps the edges whose lower bound is within
+    the best upper bound plus a margin: the 1e-9 tie window plus 2**-40 of
+    the largest |coordinate|, which covers float rounding at that size
+    (``_kept_edges``). Points are grouped by their tile's kept edges (one
+    stable sort), and each group runs the same operations, in the same
+    order, on its kept edges in their original order. Every edge that could
+    be a point's nearest or tie with it is kept, so feet, distances and tie
+    breaks are bit for bit those of a search over every edge. The work
+    arrays are laid out edges x points and reused; points go in chunks to
+    bound memory.
     """
     P = as_points(points)
     V = as_points(vertices)
     if len(V) < 3:
         raise DegenerateInputError("polygon needs at least 3 vertices")
-    ax, ay = V[:, :1], V[:, 1:]
+    if not len(P):
+        return np.empty((0, 2)), np.empty(0)
+    ax, ay = V[:, 0], V[:, 1]
     abx, aby = _succ(ax) - ax, _succ(ay) - ay
     len2 = abx * abx + aby * aby
     len2 = np.where(len2 <= 1e-300, 1.0, len2)
+    edges = np.stack((ax, ay, abx, aby, len2))[:, :, None]
 
-    feet_out = np.empty_like(P)
-    dist_out = np.empty(len(P))
-    chunk = 16384
-    for lo in range(0, len(P), chunk):
-        px, py = P[lo : lo + chunk, 0], P[lo : lo + chunk, 1]
-        t = ((px - ax) * abx + (py - ay) * aby) / len2
-        np.clip(t, 0.0, 1.0, out=t)
-        fx = ax + t * abx
-        fy = ay + t * aby
-        d = np.hypot(px - fx, py - fy)
-        dmin = d.min(axis=0)
-        cand = d <= dmin + EPS * np.maximum(1.0, dmin)
-        idx = cand.argmax(axis=0)
-        tied = np.flatnonzero(cand.sum(axis=0) > 1)
-        if len(tied):
-            c = cand[:, tied]
-            gy = np.where(c, fy[:, tied], np.inf)
-            c &= gy <= gy.min(axis=0) + EPS
-            gx = np.where(c, fx[:, tied], np.inf)
-            c &= gx <= gx.min(axis=0) + EPS
-            idx[tied] = c.argmax(axis=0)
-        cols = np.arange(len(idx))
-        feet_out[lo : lo + chunk, 0] = fx[idx, cols]
-        feet_out[lo : lo + chunk, 1] = fy[idx, cols]
-        dist_out[lo : lo + chunk] = d[idx, cols]
-    return feet_out, dist_out
+    px, py = P[:, 0].copy(), P[:, 1].copy()
+    tile, centres, side = _tiles(px, py)
+    scale = max(np.abs(V).max(), -px.min(), px.max(), -py.min(), py.max())
+    keep = _kept_edges(centres, side, edges, scale)
+    _, first, group = np.unique(
+        np.packbits(keep, axis=0).T, axis=0, return_index=True, return_inverse=True
+    )
+    key = group.astype(np.min_scalar_type(len(first)))[tile]
+    order = np.argsort(key, kind="stable")
+    kept = [np.flatnonzero(keep[:, f]) for f in first]
+    sizes = np.bincount(key)
+
+    need = max(len(e) * min(n, _CHUNK) for e, n in zip(kept, sizes))
+    work, cand_buf = np.empty((4, need)), np.empty(need, dtype=bool)
+    cols = np.arange(min(len(P), _CHUNK))
+    px, py = px[order], py[order]
+    fx_out, fy_out, d_out = np.empty((3, len(P)))
+    end = 0
+    for e, n in zip(kept, sizes):
+        sub = edges[:, e]
+        start, end = end, end + n
+        for lo in range(start, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
+            shape = (len(e), hi - lo)
+            t, fx, fy, d = (w[: shape[0] * shape[1]].reshape(shape) for w in work)
+            _segment_feet(px[lo:hi], py[lo:hi], sub, t, fx, fy, d)
+            if len(e) == 1:
+                fx_out[lo:hi], fy_out[lo:hi], d_out[lo:hi] = fx[0], fy[0], d[0]
+                continue
+            dmin = d.min(axis=0)
+            cand = cand_buf[: shape[0] * shape[1]].reshape(shape)
+            np.less_equal(d, dmin + EPS * np.maximum(1.0, dmin), out=cand)
+            idx = cand.argmax(axis=0)
+            tied = np.flatnonzero(np.count_nonzero(cand, axis=0) > 1)
+            if len(tied):
+                c = cand[:, tied]
+                gy = np.where(c, fy[:, tied], np.inf)
+                c &= gy <= gy.min(axis=0) + EPS
+                gx = np.where(c, fx[:, tied], np.inf)
+                c &= gx <= gx.min(axis=0) + EPS
+                idx[tied] = c.argmax(axis=0)
+            at = idx * shape[1] + cols[: shape[1]]
+            np.take(fx, at, out=fx_out[lo:hi])
+            np.take(fy, at, out=fy_out[lo:hi])
+            np.take(d, at, out=d_out[lo:hi])
+    # back to the caller's order: gathering through the inverse permutation
+    # is faster than scattering through order
+    back = np.empty_like(order)
+    back[order] = np.arange(len(P))
+    return np.stack((fx_out[back], fy_out[back]), axis=1), d_out[back]
 
 
 def normalize_points(points) -> tuple[np.ndarray, NormTransform]:

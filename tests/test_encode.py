@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -463,6 +465,28 @@ class TestEncode:
         feet = centers + np.stack([raster.dist_x[rows, cols], raster.dist_y[rows, cols]], 1)
         for foot in feet:
             assert boundary_distance(foot, RECT_RING) < 1e-6
+
+    def test_many_vertex_ribbon_within_bound(self):
+        # A 1,600-vertex half-ring ribbon (radius 900, thickness 200) over a
+        # 2100 x 1200 grid: encoding it took 23 s on one core of a 2-core
+        # Xeon when every one of its 283 k central cells searched every edge,
+        # and takes 0.5 s there with the tile-culled search.
+        ts = np.linspace(-np.pi / 2, np.pi / 2, 800)
+        arc = np.stack([np.sin(ts), -np.cos(ts)], axis=1)
+        # simple by construction: make's quadratic is_simple would take ~5 s
+        ann = enc.AnnotationPolygon((1050, 1100) + 1000 * arc, (1050, 1100) + 800 * arc)
+        grid = enc.RasterGrid(width=2100, height=1200, stride=1)
+        t0 = time.perf_counter()
+        raster = enc.encode([ann], grid)
+        elapsed = time.perf_counter() - t0
+        rows, cols = np.nonzero(raster.mask)
+        assert len(ann.closed_vertices()) == 1600 and len(rows) > 250_000
+        assert elapsed < 5.0
+        pick = np.random.default_rng(3).choice(len(rows), 500, replace=False)
+        centers = grid.cell_centers(rows[pick], cols[pick])
+        feet, _ = point_major_nearest_boundary(centers, ann.closed_vertices())
+        assert raster.dist_x[rows[pick], cols[pick]].tobytes() == (feet[:, 0] - centers[:, 0]).tobytes()
+        assert raster.dist_y[rows[pick], cols[pick]].tobytes() == (feet[:, 1] - centers[:, 1]).tobytes()
 
 
 class TestRasterGrid:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,106 @@ class TestNearestBoundary:
             assert np.array_equal(dist, ref_dist)
         feet, _ = geom.nearest_boundary_points([[2.0, 2.0]], square)
         assert feet.tolist() == [[2.0, 0.0]]
+
+
+def oracle_ring(kind, rng):
+    """A test ring centred on the origin: convex (sorted angles on a circle),
+    concave (a 16-point star) or many-vertex (a wavy 300-vertex loop)."""
+    if kind == "convex":
+        ang = np.sort(rng.random(12)) * 2 * np.pi
+        r = np.full(12, 60.0)
+    elif kind == "concave":
+        ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        r = np.where(np.arange(16) % 2, 25.0, 70.0) + rng.random(16)
+    else:
+        ang = np.linspace(0.0, 2 * np.pi, 300, endpoint=False)
+        r = 60.0 + 20.0 * np.sin(7 * ang) + rng.random(300)
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+
+
+class TestCulledNearestBoundary:
+    """The tile-culled search against the every-edge oracle, bit for bit."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e10, 1e14])
+    @pytest.mark.parametrize("repeated", [False, True])
+    @pytest.mark.parametrize("kind", ["convex", "concave", "many"])
+    def test_matches_oracle(self, kind, repeated, offset):
+        rng = np.random.default_rng([len(kind), int(repeated), int(math.log10(offset + 1))])
+        ring = oracle_ring(kind, rng)
+        if repeated:   # zero-length edges, one of them the closing edge
+            ring = np.concatenate([ring[:1], ring[:3], ring[2:], ring[-1:], ring[:1]])
+        # a 2 px lattice (exact ties on the axes) and random points, both
+        # inside and outside the ring
+        ticks = np.arange(-90.0, 90.0 + 1e-9, 2.0)
+        lattice = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([lattice, rng.uniform(-90.0, 90.0, (2000, 2))])
+        assert [0.0, 0.0] in lattice.tolist() and ray_cast_inside(0.0, 0.0, ring)
+        assert not ray_cast_inside(-90.0, -90.0, ring)
+        pts, ring = pts + offset, ring + offset
+
+        feet, dist = geom.nearest_boundary_points(pts, ring)
+        ref_feet, ref_dist = point_major_nearest_boundary(pts, ring)
+        assert np.array_equal(feet, ref_feet)
+        assert np.array_equal(dist, ref_dist)
+
+    # (offset, gap): a near tie that only the margin's 1e-9 window keeps,
+    # then exact ties at growing coordinates, where every bound rounds
+    @pytest.mark.parametrize("offset, gap", [(0.0, 1e-8), (1 / 3, 0.0), (1e10 / 3, 0.0), (1e14 / 3, 0.0)])
+    def test_tight_bound_at_tile_corners(self, offset, gap):
+        # A 16 px lattice puts one point at a corner of each 16 px tile, so
+        # each tile centre lies 8 px away along the diagonal. The points on
+        # the line x + y = 0 lie midway between the long edges of a diagonal
+        # strip, where the far edge's lower bound equals the near edge's
+        # upper bound. Only the margin keeps the far edge, which wins the
+        # tie when it is the lower edge (its foot has the smaller y).
+        ticks = np.arange(-60, 61.0) * 16
+        pts = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        _, centres, side = geom._tiles(pts[:, 0], pts[:, 1])
+        assert side == geom.NEAREST_TILE and len(centres) == len(pts)
+        m, lo, run = 40 + 1 / 3, -40 - 1 / 3 - gap / 2, 1100.0
+        strip = np.array([[m - run, m + run], [m + run, m - run],
+                          [lo + run, lo - run], [lo - run, lo + run]])
+        pts, strip = pts + offset, strip + offset
+        feet, dist = geom.nearest_boundary_points(pts, strip)
+        ref_feet, ref_dist = point_major_nearest_boundary(pts, strip)
+        assert np.array_equal(feet, ref_feet)
+        assert np.array_equal(dist, ref_dist)
+
+    def test_group_larger_than_one_chunk(self):
+        # Away from its ends, every tile of this 2000 x 10 strip keeps the
+        # same two edges, top and bottom, so one group spans several chunks;
+        # the 0.5 px lattice puts exact ties on the midline y = 5.
+        strip = np.array([[0.0, 0.0], [2000.0, 0.0], [2000.0, 10.0], [0.0, 10.0]])
+        xs, ys = np.arange(0.25, 2000.0, 0.5), np.arange(0.0, 10.0 + 1e-9, 0.5)
+        pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+        assert len(pts) > 4 * geom._CHUNK
+        feet, dist = geom.nearest_boundary_points(pts, strip)
+        ref_feet, ref_dist = point_major_nearest_boundary(pts, strip)
+        assert np.array_equal(feet, ref_feet)
+        assert np.array_equal(dist, ref_dist)
+        mid = pts[:, 1] == 5.0
+        assert mid.any() and (feet[mid & (pts[:, 0] > 10) & (pts[:, 0] < 1990), 1] == 0.0).all()
+
+    def test_empty_query_set(self):
+        square = [[0, 0], [4, 0], [4, 4], [0, 4]]
+        feet, dist = geom.nearest_boundary_points(np.empty((0, 2)), square)
+        assert feet.shape == (0, 2) and dist.shape == (0,)
+
+    @pytest.mark.parametrize("ends", [[[0.0, 0.0], [1e14, 0.0]], [[0.0, 0.0], [1e14, 1e14]],
+                                      [[-1e308, 0.0], [1e308, 0.0]]])
+    def test_far_apart_points_bound_time_and_tiles(self, ends):
+        pts = np.array(ends)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])   # no product overflows
+        t0 = time.perf_counter()
+        feet, dist = geom.nearest_boundary_points(pts, square)
+        elapsed = time.perf_counter() - t0
+        ref_feet, ref_dist = point_major_nearest_boundary(pts, square)
+        assert np.array_equal(feet, ref_feet) and np.array_equal(dist, ref_dist)
+        assert elapsed < 1.0
+        # the grid the tiles span, not only the occupied tiles, stays small
+        _, centres, side = geom._tiles(pts[:, 0], pts[:, 1])
+        assert len(centres) == 2
+        assert np.prod(pts.max(axis=0) / side - pts.min(axis=0) / side + 1) <= 4 * len(pts)
 
 
 class TestNormalize:
