@@ -214,6 +214,129 @@ def per_direction_min_area_rect(hull) -> np.ndarray:
     return best
 
 
+def array_chain_convex_hull(points) -> np.ndarray:
+    """Reference monotone chain over numpy rows.
+
+    The earlier ``geom.convex_hull``, kept verbatim so the chain over Python
+    floats can be checked bit for bit against it.
+    """
+    from textshape.geom import EPS, DegenerateInputError, as_points, unique_rows
+
+    pts, _ = unique_rows(as_points(points))   # sorted by x, then y
+    if len(pts) < 3:
+        raise DegenerateInputError("need at least 3 distinct points")
+
+    def half(seq):
+        chain: list[np.ndarray] = []
+        for p in seq:
+            while len(chain) >= 2:
+                u = chain[-1] - chain[-2]
+                v = p - chain[-2]
+                if u[0] * v[1] - u[1] * v[0] > EPS:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) < 3:
+        raise DegenerateInputError("points are collinear")
+    return hull
+
+
+def masked_polygon_make(points):
+    """Reference ``geom.Polygon.make``: the earlier classmethod body, with
+    the earlier ``drop_repeats`` (a boolean mask, always) and a second
+    validation in ``shoelace_area``, kept verbatim."""
+    from textshape.geom import EPS, DegenerateInputError, Polygon, as_points, shoelace_area
+
+    def drop_repeats(pts):
+        if len(pts) == 0:
+            return pts
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(np.abs(pts[1:] - pts[:-1]) > EPS, axis=1)
+        return pts[keep]
+
+    pts = drop_repeats(as_points(points))
+    if len(pts) > 1 and np.all(np.abs(pts[0] - pts[-1]) <= EPS):
+        pts = pts[:-1]   # explicit closing vertex
+    if len(pts) < 3:
+        raise DegenerateInputError("polygon needs at least 3 distinct vertices")
+    area = shoelace_area(pts)
+    if abs(area) <= EPS:
+        raise DegenerateInputError("polygon has zero area")
+    if area < 0:
+        pts = pts[::-1].copy()
+    return Polygon(pts)
+
+
+def column_bounds(poly) -> tuple[float, float, float, float]:
+    """Reference ``Polygon.bounds``: four column reductions, the earlier body."""
+    v = poly.vertices
+    return (
+        float(v[:, 0].min()),
+        float(v[:, 1].min()),
+        float(v[:, 0].max()),
+        float(v[:, 1].max()),
+    )
+
+
+def _one_ring_crossings(vertices, ys):
+    """The earlier ``geom._row_crossings``, one ring per call, kept verbatim."""
+    from textshape.geom import _succ
+
+    x1, y1 = vertices[:, 0], vertices[:, 1]
+    x2, y2 = _succ(x1), _succ(y1)
+    first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    count = np.searchsorted(ys, np.maximum(y1, y2), side="left") - first
+    edge = np.repeat(np.arange(len(vertices)), count)
+    line = np.arange(len(edge)) + np.repeat(first - (np.cumsum(count) - count), count)
+    xs = x1[edge] + (ys[line] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
+    return line, xs
+
+
+def _sorted_flip_keys(vertices, origin, cell, shape):
+    """The earlier ``geom._flip_keys``, one ring's sorted keys, kept verbatim."""
+    from textshape.geom import as_points
+
+    if not (cell[0] > 0 and cell[1] > 0):
+        raise ValueError(f"cell sizes must be positive, got {cell}")
+    ny, nx = shape
+    xc = origin[0] + (np.arange(nx) + 0.5) * cell[0]
+    yc = origin[1] + (np.arange(ny) + 0.5) * cell[1]
+    line, xs = _one_ring_crossings(as_points(vertices), yc)
+    return np.sort(line * (nx + 1) + np.searchsorted(xc, xs, side="left"))
+
+
+def two_pass_polygon_iou(a, b, resolution: int = 256) -> float:
+    """Reference scanline IoU: the earlier ``geom.polygon_iou``, kept
+    verbatim (bounds by column, one key pass per ring, a stable argsort of
+    both rings' keys)."""
+    if resolution < 64:
+        raise ValueError("resolution must be >= 64")
+    ax0, ay0, ax1, ay1 = column_bounds(a)
+    bx0, by0, bx1, by1 = column_bounds(b)
+    x0, y0 = min(ax0, bx0), min(ay0, by0)
+    x1, y1 = max(ax1, bx1), max(ay1, by1)
+    if x1 <= x0 or y1 <= y0:
+        return 0.0
+    cell = ((x1 - x0) / resolution, (y1 - y0) / resolution)
+    shape = (resolution, resolution)
+    ka = _sorted_flip_keys(a.vertices, (x0, y0), cell, shape)
+    kb = _sorted_flip_keys(b.vertices, (x0, y0), cell, shape)
+    keys = np.concatenate([ka, kb])
+    order = np.argsort(keys, kind="stable")
+    in_a = order < len(ka)
+    both = (np.cumsum(in_a) & np.cumsum(~in_a) & 1)[:-1].astype(bool)   # both parities odd
+    inter = int(np.diff(keys[order])[both].sum())
+    union = int((ka[1::2] - ka[::2]).sum() + (kb[1::2] - kb[::2]).sum()) - inter
+    if union == 0:
+        return 0.0
+    return float(inter) / float(union)
+
+
 def bbox_region_cells(poly, grid):
     """Reference region raster over the whole bounding box.
 

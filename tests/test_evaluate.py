@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from textshape import evaluate
+from textshape import evaluate, geom
 from textshape.detect import Detection
 from textshape.geom import Polygon, min_area_rect, polygon_iou
 from textshape.labels import AnnotationPolygon
 from textshape.synth import arc_annotation, rect_annotation
+from conftest import array_chain_convex_hull, column_bounds, masked_polygon_make, two_pass_polygon_iou
 
 
 def det_for(ann, score=0.9, shift=(0.0, 0.0)):
@@ -210,6 +211,25 @@ def test_match_equals_brute_force_on_random_pages(mode):
             rep = evaluate.match(dets, gts, iou_threshold=threshold, mode=mode)
             assert (rep.counts, rep.matches) == brute_force_match(dets, gts, threshold, mode)
     assert touching > 0 and pruned > 0
+
+
+@pytest.mark.parametrize("mode", ["polygon", "quad"])
+def test_match_equals_match_on_oracle_kernels(monkeypatch, mode):
+    """match gives identical EvalReports, IoU floats included (none is NaN
+    or -0.0), when the earlier IoU, hull, Polygon.make and bounds kernels
+    kept in conftest replace geom's."""
+    rng = np.random.default_rng(17)
+    pages = [random_page(rng) for _ in range(30)]
+    runs = [(dets, gts, t) for dets, gts in pages for t in (0.5, 1e-6, 1.0)]
+    got = [evaluate.match(dets, gts, iou_threshold=t, mode=mode) for dets, gts, t in runs]
+    monkeypatch.setattr(evaluate, "polygon_iou", two_pass_polygon_iou)
+    monkeypatch.setattr(geom, "convex_hull", array_chain_convex_hull)
+    monkeypatch.setattr(geom.Polygon, "make", classmethod(lambda cls, points: masked_polygon_make(points)))
+    monkeypatch.setattr(geom.Polygon, "bounds", column_bounds)
+    want = [evaluate.match(dets, gts, iou_threshold=t, mode=mode) for dets, gts, t in runs]
+    assert got == want
+    assert all(sum(getattr(r, k) for r in got) > 0 for k in ("tp", "fp", "fn", "ignored_dets"))
+    assert any(r.tp for (*_, t), r in zip(runs, got) if t == 1.0)
 
 
 @pytest.mark.parametrize("mode", ["polygon", "quad"])

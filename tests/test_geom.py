@@ -4,18 +4,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textshape import detect, geom, labels
 from textshape.synth import arc_annotation, roundtrip_suite
 from conftest import (
+    array_chain_convex_hull,
     boundary_samples,
+    column_bounds,
+    masked_polygon_make,
     per_direction_min_area_rect,
     point_major_nearest_boundary,
     rasterize_oracle,
     ray_cast_inside,
     shoelace,
+    two_pass_polygon_iou,
 )
 
 
@@ -662,3 +666,94 @@ class TestPolygonType:
     def test_is_simple(self):
         assert geom.is_simple([(0, 0), (2, 0), (2, 2), (0, 2)])
         assert not geom.is_simple([(0, 0), (2, 2), (2, 0), (0, 2)])
+
+
+@st.composite
+def tie_rings(draw, min_size=1):
+    """Vertex rings that reach the kernels' tie rules: points of a small
+    lattice, plus points bent off a lattice edge by a cross product within a
+    few EPS of the turn test's threshold, repeated vertices (exact or within
+    EPS), an optional closing vertex, either orientation, at offsets up to
+    1e14. Most such rings self-intersect."""
+    lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(np.array).map(np.float64)
+    pts = draw(st.lists(lattice, min_size=min_size, max_size=16))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pts) - 1))
+        p, d = pts[i], pts[(i + 1) % len(pts)] - pts[i]
+        if d.any():   # bent so that cross(q - p, bent - p) = c * EPS, up to rounding
+            t = draw(st.sampled_from([0.25, 0.5, 0.75]))
+            c = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0, -3.0]))
+            pts.insert(i + 1, p + t * d + c * geom.EPS * np.array([-d[1], d[0]]) / (d @ d))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(pts) - 1))
+        pts.insert(i, pts[i] + draw(st.sampled_from([0.0, 0.5e-9, 1e-9, 2e-9])))
+    if draw(st.booleans()):
+        pts.append(pts[0] + draw(st.sampled_from([0.0, 0.5e-9, 1e-9])))   # closing vertex
+    scale = draw(st.sampled_from([1.0, 1.0, 0.25, 3.7]))
+    offset = draw(st.sampled_from([0.0, 0.0, 1e3, -7.5e6, 1e14, -1e14]))
+    ring = np.array(pts) * scale + offset
+    return ring[::-1] if draw(st.booleans()) else ring
+
+
+def outcome(fn, *args):
+    """Bit-level outcome of a kernel: the dtype, shape and bytes of its
+    array, float or polygon, or the type and message of the error it raised."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    out = np.asarray(out.vertices if isinstance(out, geom.Polygon) else out)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+class TestKernelsMatchOracles:
+    """The hull, Polygon.make, bounds and IoU kernels give the same bits,
+    and raise the same errors, as the earlier numpy-call versions kept in
+    conftest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_rings())
+    @example(np.array([(0, 0), (1, 0), (2, 1e-9), (1, 5)]))     # turns of exactly EPS, on the
+    @example(np.array([(2, 0), (1, 0), (0, -1e-9), (1, -5)]))   # lower and upper chain: not kept
+    def test_convex_hull(self, ring):
+        assert outcome(geom.convex_hull, ring) == outcome(array_chain_convex_hull, ring)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_rings())
+    @example(np.array([(0, 0), (0, 1e-9), (4, 0), (4, 4), (1e-9, 0)]))   # a repeat and a closing
+    @example(np.array([(1e-9, 0), (4, 4), (4, 0), (0, 1e-9), (0, 0)]))   # vertex EPS away: dropped
+    def test_polygon_make_and_bounds(self, ring):
+        got = outcome(geom.Polygon.make, ring)
+        assert got == outcome(masked_polygon_make, ring)
+        if got[0] == "<f8":
+            poly = geom.Polygon.make(ring)
+            assert np.array(poly.bounds()).tobytes() == np.array(column_bounds(poly)).tobytes()
+            assert poly.vertices is not ring and not np.shares_memory(poly.vertices, ring)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_rings(min_size=3), tie_rings(min_size=3),
+           st.sampled_from(["any", "self", "shared_edge", "touching", "lattice_shift"]),
+           st.sampled_from([64, 256, 512]))
+    def test_polygon_iou(self, ring, other, pair, r):
+        try:
+            a = geom.Polygon.make(ring)
+            lo, hi = a.vertices.min(axis=0), a.vertices.max(axis=0)
+            b = geom.Polygon.make({
+                "any": other,
+                "self": a.vertices,
+                "shared_edge": a.vertices * (-1.0, 1.0) + (2 * hi[0], 0.0),   # mirrored about x = max
+                "touching": a.vertices + (0.0, hi[1] - lo[1]),
+                "lattice_shift": a.vertices + (1.0, 0.0),
+            }[pair])
+        except geom.DegenerateInputError:
+            return
+        assert outcome(geom.polygon_iou, a, b, r) == outcome(two_pass_polygon_iou, a, b, r)
+        assert outcome(geom.polygon_iou, b, a, r) == outcome(two_pass_polygon_iou, b, a, r)
+
+    def test_hull_of_200k_points_under_a_second(self):
+        # the numpy-scalar chain took 1.0-1.5 s here; the float chain ~0.25 s
+        pts = np.random.default_rng(0).random((200_000, 2)) * 1000
+        t0 = time.perf_counter()
+        hull = geom.convex_hull(pts)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(hull) >= 3 and geom.Polygon.make(hull).area > 0.99 * 1000**2
