@@ -24,7 +24,7 @@ pred = PredictionRaster.from_label(label)
 dets = ts.decode(pred, DecodeConfig())
 print(f"decoded {len(dets)} detection(s), score {dets[0].score:.3f}")
 
-iou = ts.polygon_iou(dets[0].polygon, ann.polygon(), resolution=512)
+iou = ts.polygon_iou(dets[0].polygon, ann.polygon())
 print(f"roundtrip IoU vs the annotation: {iou:.4f}")
 
 quad = ts.min_area_rect(dets[0].polygon)

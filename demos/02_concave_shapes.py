@@ -31,7 +31,7 @@ w = int(ring[:, 0].max() + 30)
 h = int(ring[:, 1].max() + 30)
 label = ts.encode([ann], ts.RasterGrid.for_image(w, h, stride=1))
 dets = ts.decode(PredictionRaster.from_label(label), DecodeConfig())
-iou = ts.polygon_iou(dets[0].polygon, ann.polygon(), 256)
+iou = ts.polygon_iou(dets[0].polygon, ann.polygon())
 print(f"half-circle line: IoU {iou:.4f} with a {len(dets[0].polygon.vertices)}-vertex polygon")
 
 hull_like = ts.min_area_rect(dets[0].polygon)

@@ -25,13 +25,13 @@ print(f"total = cls + 1.0 * reg = {report.total:.4f}")
 
 # Finite-difference check of the dice gradient at a few cells.
 cells = [(15, 30), (20, 60), (5, 5)]
-_, grad = dice_loss(prob, label.mask, label.ignore_mask, eps=1.0)
+_, grad = dice_loss(prob, label.mask, label.ignore_mask)
 h = 1e-5
 for r, c in cells:
     bumped = prob.copy()
     bumped[r, c] += h
-    lo = dice_loss(prob, label.mask, label.ignore_mask, eps=1.0)[0]
-    hi = dice_loss(bumped, label.mask, label.ignore_mask, eps=1.0)[0]
+    lo = dice_loss(prob, label.mask, label.ignore_mask)[0]
+    hi = dice_loss(bumped, label.mask, label.ignore_mask)[0]
     fd = (hi - lo) / h
     print(f"dice grad at {(r, c)}: analytic {grad[r, c]:+.3e}, forward-diff {fd:+.3e}")
 

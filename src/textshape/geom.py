@@ -30,6 +30,8 @@ MAX_CONTAINMENT_PROBES = 512   # containment_probes keeps at most this many poin
 NEAREST_TILE = 16.0
 _CHUNK = 16384
 
+IOU_RESOLUTION = 256   # polygon_iou: cells per side of the pair's joint-bbox raster
+
 
 class DegenerateInputError(ValueError):
     """Fewer distinct points than required, or no usable area."""
@@ -309,12 +311,12 @@ def _shape_from_filter(
     loops = _boundary_loops(*_boundary_edges(kept, adjacent))
     # the largest loop, the first of any tie
     best = max(loops, key=lambda loop: abs(_shoelace(pts[loop])), default=None)
-    if best is None or abs(_shoelace(pts[best])) <= EPS:
+    if best is None:
         raise AlphaShapeError("alpha shape has no usable outer boundary")
     try:
         return Polygon.make(pts[best])
     except DegenerateInputError as exc:
-        # A degenerate loop at this alpha is recoverable by escalating.
+        # A degenerate (e.g. zero-area) loop at this alpha is recoverable by escalating.
         raise AlphaShapeError(str(exc)) from exc
 
 
@@ -578,8 +580,8 @@ def normalize_points(points) -> tuple[np.ndarray, NormTransform]:
     return t.apply(pts), t
 
 
-def min_area_rect(poly: Polygon | np.ndarray) -> Polygon:
-    """Minimum-area oriented rectangle enclosing a polygon.
+def min_area_rect(poly: Polygon) -> Polygon:
+    """Minimum-area oriented rectangle enclosing a :class:`Polygon`.
 
     The optimal rectangle shares a direction with some hull edge, so every
     edge direction is tried: matrix products, each over a bounded chunk of
@@ -588,8 +590,7 @@ def min_area_rect(poly: Polygon | np.ndarray) -> Polygon:
     O(H)). The first direction whose area beats the best so far by more
     than 1e-12 wins.
     """
-    vertices = poly.vertices if isinstance(poly, Polygon) else as_points(poly)
-    hull = convex_hull(vertices)
+    hull = convex_hull(poly.vertices)
     edges = _succ(hull) - hull
     dirs = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
     # rows 2k, 2k + 1 hold rot_k = [[ux, uy], [-uy, ux]] of hull edge k
@@ -726,29 +727,27 @@ def polygon_mask(
     return mask
 
 
-def polygon_iou(a: Polygon, b: Polygon, resolution: int = 256) -> float:
+def polygon_iou(a: Polygon, b: Polygon) -> float:
     """Rasterized intersection-over-union of two simple polygons.
 
-    The IoU of both polygons' :func:`polygon_mask` rasters on a shared
-    resolution x resolution grid spanning their joint bounding box, counted
-    from their scanline runs without building the rasters, so the same float.
+    The IoU of both polygons' :func:`polygon_mask` rasters on a shared R x R
+    grid spanning their joint bounding box, R = IOU_RESOLUTION, counted from
+    their scanline runs without building the rasters, so the same float.
     Both rings' flips come from one :func:`_flip_keys` pass and one sort of
     ``key * 2 + ring``; the gaps between sorted keys where both rings' parities
     are odd sum to the intersection, those where either is to the union. Time
-    O(c log c) and memory O(c) in the c crossings (about 2 x resolution per
-    polygon that each row crosses twice), not resolution^2. Concave inputs
-    are handled by construction. Disjoint polygons score 0.
+    O(c log c) and memory O(c) in the c crossings (about 2R per polygon that
+    each row crosses twice), not R^2. Concave inputs are handled by
+    construction. Disjoint polygons score 0.
     """
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
     va, vb = a.vertices, b.vertices
     v = np.concatenate((va, vb))
     (x0, y0), (x1, y1) = v.min(axis=0).tolist(), v.max(axis=0).tolist()
     if x1 <= x0 or y1 <= y0:
         return 0.0
-    cell = ((x1 - x0) / resolution, (y1 - y0) / resolution)
+    cell = ((x1 - x0) / IOU_RESOLUTION, (y1 - y0) / IOU_RESOLUTION)
     ends = np.concatenate((va[1:], va[:1], vb[1:], vb[:1]))   # each ring wraps on itself
-    keys, edge = _flip_keys(v, (x0, y0), cell, (resolution, resolution), ends)
+    keys, edge = _flip_keys(v, (x0, y0), cell, (IOU_RESOLUTION,) * 2, ends)
     keys = np.sort(keys * 2 + (edge >= len(va)))
     odd_a, odd_b = (np.cumsum((keys & 1) == ring) & 1 for ring in (0, 1))
     gaps = np.diff(keys >> 1)

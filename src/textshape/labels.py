@@ -245,8 +245,6 @@ def encode(annotations: list[AnnotationPolygon], grid: RasterGrid) -> LabelRaste
             continue
         stats.instances += 1
         flat, centers = _region_cells(central_region_polygon(ann), grid)
-        if len(flat) == 0:
-            continue
         feet, dist = nearest_boundary_points(centers, ann.closed_vertices())
 
         occupied = mask[flat] == 1

@@ -14,6 +14,8 @@ import numpy as np
 
 from .labels import LabelRaster
 
+DICE_EPS = 1.0   # dice_loss: smoothing term added to its numerator and denominator
+
 
 @dataclass
 class LossConfig:
@@ -38,9 +40,8 @@ def dice_loss(
     pred_prob: np.ndarray,
     gt_mask: np.ndarray,
     ignore_mask: np.ndarray | None = None,
-    eps: float = 1.0,
 ) -> tuple[float, np.ndarray]:
-    """Soft Dice loss 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps).
+    """Soft Dice loss 1 - (2*sum(p*g) + e) / (sum(p) + sum(g) + e), e = DICE_EPS.
 
     Ignored cells are excluded from every sum and receive zero gradient.
     Returns (loss, d loss / d pred_prob).
@@ -58,8 +59,8 @@ def dice_loss(
 
     pv = np.where(valid, p, 0.0)
     gv = np.where(valid, g, 0.0)
-    num = 2.0 * float((pv * gv).sum()) + eps
-    den = float(pv.sum() + gv.sum()) + eps
+    num = 2.0 * float((pv * gv).sum()) + DICE_EPS
+    den = float(pv.sum() + gv.sum()) + DICE_EPS
     loss = 1.0 - num / den
 
     grad = -(2.0 * gv * den - num) / (den * den)

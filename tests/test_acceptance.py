@@ -6,6 +6,7 @@ criterion.
 
 import math
 import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -132,8 +133,8 @@ def test_gradient_correctness():
         p = rng.random((4, 4))
         g = (rng.random((4, 4)) < 0.5).astype(float)
         ig = (rng.random((4, 4)) < 0.15).astype(np.uint8)
-        _, grad = losses.dice_loss(p, g, ignore_mask=ig, eps=1.0)
-        want = finite_diff(lambda x: losses.dice_loss(x, g, ignore_mask=ig, eps=1.0)[0], p)
+        _, grad = losses.dice_loss(p, g, ignore_mask=ig)
+        want = finite_diff(lambda x: losses.dice_loss(x, g, ignore_mask=ig)[0], p)
         scale = max(1.0, np.abs(want).max())
         worst = max(worst, float(np.abs(grad - want).max() / scale))
     for _ in range(50):
@@ -179,7 +180,8 @@ def test_loss_spot_values():
     p = np.zeros((20, 20))
     g.ravel()[:100] = 1.0
     p.ravel()[50:150] = 1.0
-    dice, _ = losses.dice_loss(p, g, eps=1e-12)
+    with patch.object(losses, "DICE_EPS", 1e-12):
+        dice, _ = losses.dice_loss(p, g)
     one = np.ones((1, 1))
     quad, *_ = losses.reg_loss(
         np.array([[0.5]]), np.array([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)), one

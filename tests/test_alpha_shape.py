@@ -88,6 +88,16 @@ class TestAlphaShape:
         with pytest.raises(geom.DegenerateInputError):
             geom.alpha_shape([(0, 0), (1, 1), (2, 2)], 0.5)
 
+    def test_zero_area_loop_raises_alpha_shape_error(self):
+        # Qhull keeps the sliver; Polygon.make's zero-area check rejects its loop
+        with pytest.raises(geom.AlphaShapeError, match="zero area"):
+            geom.alpha_shape([[0, 0], [1, 0], [0.5, 1e-9]], math.inf)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            geom.alpha_shape([(0, 0), (1, 0), (0.5, 1)], alpha)
+
     def test_largest_component_kept(self):
         # Two clusters of triangles; the big one must win.
         big = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)], dtype=float)
@@ -232,6 +242,11 @@ class TestAlphaShapeFallback:
     def test_degenerate_still_raises(self):
         with pytest.raises(geom.DegenerateInputError):
             geom.alpha_shape_with_fallback([(0, 0), (1, 1), (2, 2)], 0.1, [(1, 1)])
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            geom.alpha_shape_with_fallback([(0, 0), (1, 0), (0.5, 1)], alpha, [(0.5, 0.3)])
 
     def test_empty_must_contain_raises(self):
         for empty in (np.empty((0, 2)), []):

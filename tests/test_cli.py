@@ -288,6 +288,23 @@ class TestEvalCommand:
         )
         assert rc == 0
 
+    def test_report_names_missing_ids(self, gt_dir, tmp_path, capsys):
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        for name in ("img_a.txt", "other.txt"):
+            formats.write_detections(det_dir / name, [])
+        report = tmp_path / "report.txt"
+        rc = cli.main(["eval", str(det_dir), str(gt_dir), "totaltext", "--allow-missing",
+                       "--report", str(report)])
+        assert rc == 0
+        lines = report.read_text().splitlines()
+        assert lines[len(capsys.readouterr().out.splitlines()):] == [
+            "image img_a: tp=0 fp=0 fn=1 ignored=0",
+            "missing detections: img_b",
+            "missing detections: img_c",
+            "missing ground truth: other",
+        ]
+
 
 class TestRenderCommand:
     def test_one_gt_one_det_two_paths(self, tmp_path):

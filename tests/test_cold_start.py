@@ -8,9 +8,12 @@ loaded scipy already.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import textshape
 from textshape import cli, formats, netplan
@@ -86,6 +89,15 @@ def test_python_dash_m_runs_the_command_line():
     proc = run_module("netplan", "64", "64")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == netplan.format_plan(netplan.shape_plan(64, 64)) + "\n"
+
+
+def test_main_module_exits_with_the_command_status(monkeypatch, capsys):
+    # in process, so a line trace of the suite sees __main__ run
+    monkeypatch.setattr(sys, "argv", ["textshape", "netplan", "64", "64"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("textshape", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == netplan.format_plan(netplan.shape_plan(64, 64)) + "\n"
 
 
 def test_python_dash_m_usage_error_exits_2():

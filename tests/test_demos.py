@@ -1,6 +1,7 @@
 """Every script in demos/, and the README's library quickstart, runs to
 completion against the source tree under the warning policy of
-pyproject.toml, which a subprocess does not inherit."""
+pyproject.toml, which a subprocess does not inherit. Each demo prints
+exactly the bytes kept in demos/expected/<name>.txt."""
 
 import os
 import re
@@ -33,6 +34,8 @@ def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_text(encoding="utf-8")
 
 
 def test_readme_quickstart_runs():

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 import warnings
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import textshape as ts
-from textshape import detect, evaluate, formats
+from textshape import detect, evaluate, formats, geom
 from textshape.labels import RasterGrid
 from textshape.synth import rect_annotation, roundtrip_suite, separated_pair
 from conftest import boundary_samples
@@ -423,7 +424,8 @@ class TestReconstruct:
         pred = perfect_pred(ann, (320, 80))
         dets = detect.decode(pred, detect.DecodeConfig())
         assert len(dets) == 1
-        assert ts.polygon_iou(dets[0].polygon, ann.polygon(), 512) >= 0.95
+        with patch.object(geom, "IOU_RESOLUTION", 512):
+            assert ts.polygon_iou(dets[0].polygon, ann.polygon()) >= 0.95
 
     def test_three_points_give_triangle(self):
         pts = np.array([(0.0, 0.0), (40.0, 0.0), (20.0, 30.0)])
@@ -438,6 +440,16 @@ class TestReconstruct:
             detect.reconstruct(bp)
 
 
+class TestPredictionRaster:
+    @pytest.mark.parametrize("bad", ["prob", "dist_x", "dist_y"])
+    def test_channel_off_the_grid_shape(self, bad):
+        grid = RasterGrid(width=4, height=3, stride=1)
+        planes = {name: np.zeros((3, 4)) for name in ("prob", "dist_x", "dist_y")}
+        planes[bad] = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="prediction channels must share the grid shape"):
+            detect.PredictionRaster(grid=grid, **planes)
+
+
 class TestDecode:
     def test_three_instances(self):
         anns = [
@@ -450,7 +462,7 @@ class TestDecode:
         dets = detect.decode(pred, detect.DecodeConfig())
         assert len(dets) == 3
         for ann in anns:
-            best = max(ts.polygon_iou(d.polygon, ann.polygon(), 256) for d in dets)
+            best = max(ts.polygon_iou(d.polygon, ann.polygon()) for d in dets)
             assert best >= 0.9
 
     def test_empty_probability_map(self):
@@ -522,7 +534,7 @@ class TestDecode:
         quad = ts.min_area_rect(dets[0].polygon)
         assert quad is not None
         assert len(quad.vertices) == 4
-        assert ts.polygon_iou(quad, ann.polygon(), 256) >= 0.9
+        assert ts.polygon_iou(quad, ann.polygon()) >= 0.9
 
     def test_nonfinite_distance_cell_dropped(self):
         ann = rect_annotation(10, 10, 120, 40)
@@ -533,7 +545,7 @@ class TestDecode:
         dets = detect.decode(pred, detect.DecodeConfig(), diag)
         assert len(dets) == 1
         assert diag.nonfinite == 1
-        assert ts.polygon_iou(dets[0].polygon, ann.polygon(), 256) >= 0.9
+        assert ts.polygon_iou(dets[0].polygon, ann.polygon()) >= 0.9
 
     def test_nonfinite_column_cuts_the_instance_in_two(self):
         ann = rect_annotation(10, 10, 200, 40)
@@ -709,6 +721,6 @@ class TestNoise:
                 detect.add_distance_noise(pred, 1.0, seed=3 + i), detect.DecodeConfig()
             )
             assert len(noisy) == len(clean) == 1
-            clean_ious.append(ts.polygon_iou(clean[0].polygon, ann.polygon(), 256))
-            noisy_ious.append(ts.polygon_iou(noisy[0].polygon, ann.polygon(), 256))
+            clean_ious.append(ts.polygon_iou(clean[0].polygon, ann.polygon()))
+            noisy_ious.append(ts.polygon_iou(noisy[0].polygon, ann.polygon()))
         assert np.mean(clean_ious) - np.mean(noisy_ious) < 0.05

@@ -343,6 +343,13 @@ class TestEncode:
         assert raster.dist_x.sum() == 0
         assert raster.ignore_mask.sum() == 0
 
+    def test_instance_with_no_central_cell(self):
+        # the central region of a 1 px box holds no center of a stride-4 cell
+        ann = enc.split_sides([(1, 1), (2, 1), (2, 2), (1, 2)])
+        raster = enc.encode([ann], enc.RasterGrid(4, 4, stride=4))
+        assert raster.mask.sum() == 0 and raster.dist_x.sum() == 0 and raster.dist_y.sum() == 0
+        assert raster.stats.instances == 1 and raster.stats.conflict_cells == 0
+
     def test_ignore_quad(self):
         ann = enc.split_sides(RECT_RING)
         ann.ignore = True

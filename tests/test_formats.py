@@ -14,6 +14,8 @@ from textshape.geom import Polygon, shoelace_area
 from textshape.labels import MAX_GRID_CELLS, AnnotationPolygon, LabelRaster, RasterGrid, encode
 from textshape.synth import rect_annotation
 
+# three vertices per chain: a six-vertex ring, no quadrilateral
+HEXAGON = AnnotationPolygon.make([(0, 0), (10, 0), (20, 0)], [(0, 8), (10, 8), (20, 8)])
 
 class TestCtw1500:
     def test_six_pair_line(self):
@@ -56,6 +58,10 @@ class TestIcdar2015:
         with pytest.raises(formats.ParseError):
             formats.parse_icdar2015("0,0,10,0,10,5,0,5")
 
+    def test_format_rejects_non_quad(self):
+        with pytest.raises(ValueError, match="icdar2015 lines require quadrilaterals"):
+            formats.format_icdar2015(HEXAGON)
+
 
 class TestMsraTd500:
     def test_zero_angle(self):
@@ -95,6 +101,10 @@ class TestMsraTd500:
     def test_corner_on_max_coord(self):
         ann = formats.parse_msra_td500("0 0 0 0 1e15 1e15 0")
         assert np.abs(ann.closed_vertices()).max() == formats.MAX_COORD
+
+    def test_format_rejects_non_quad(self):
+        with pytest.raises(ValueError, match="msra_td500 lines require rectangles"):
+            formats.format_msra_td500(HEXAGON)
 
 
 class TestTotaltext:
@@ -350,6 +360,22 @@ class TestMsrrFormat:
         with pytest.raises(formats.RasterFormatError) as err:
             formats.read_raster(path)
         assert str(err.value) == f"{path}: unsupported channel count 9"
+
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (3, 0, 1), (3, 2, 0)])
+    def test_zero_dimension(self, tmp_path, dims):
+        header = formats.MSRR_MAGIC + struct.pack("<5I", 1, *dims, 3)
+        path = tmp_path / "zero.msrr"
+        path.write_bytes(header)
+        with pytest.raises(formats.RasterFormatError) as err:
+            formats.read_raster(path)
+        w, h, s = dims
+        assert str(err.value) == f"{path}: bad dimensions {w}x{h} stride {s}"
+
+    def test_write_rejects_non_raster(self, tmp_path):
+        path = tmp_path / "a.msrr"
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            formats.write_raster(path, np.zeros((2, 2)))
+        assert not path.exists()
 
     def test_unknown_version(self, tmp_path):
         header = formats.MSRR_MAGIC + struct.pack("<5I", 9, 1, 1, 1, 3)

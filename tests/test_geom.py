@@ -1,6 +1,8 @@
+import inspect
 import math
 import time
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -143,6 +145,10 @@ class TestNearestPoint:
 
 
 class TestNearestBoundary:
+    def test_two_vertices_rejected(self):
+        with pytest.raises(geom.DegenerateInputError, match="at least 3 vertices"):
+            geom.nearest_boundary_points([(0.5, 0.5)], [(0, 0), (1, 0)])
+
     def test_edge_major_matches_point_major_reference(self, rng):
         cases = []
         for inst in roundtrip_suite()[::10]:
@@ -290,6 +296,10 @@ class TestNormalize:
         with pytest.raises(geom.DegenerateInputError):
             geom.normalize_points([(3, 3), (3, 3)])
 
+    def test_single_point_rejected(self):
+        with pytest.raises(geom.DegenerateInputError, match="at least 2 points"):
+            geom.normalize_points([(3, 3)])
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_roundtrip(self, seed):
@@ -329,6 +339,13 @@ def sigma1_decodes(step: int = 40) -> list:
         noisy = detect.add_distance_noise(pred, 1.0, seed=1000 + i * step)
         out += [d.polygon for d in detect.decode(noisy)]
     return out
+
+
+def iou_at(a, b, r: int) -> float:
+    """polygon_iou on an r x r grid: IOU_RESOLUTION patched to r. A context
+    manager, not the monkeypatch fixture, so @given tests can use it too."""
+    with patch.object(geom, "IOU_RESOLUTION", r):
+        return geom.polygon_iou(a, b)
 
 
 def mask_iou(a, b, resolution: int) -> float:
@@ -423,50 +440,55 @@ class TestMinAreaRect:
         rings.append(np.stack([300 * np.cos(t), 80 * np.sin(t)], axis=1))   # several products
         for v in rings:
             want = geom.Polygon.make(per_direction_min_area_rect(geom.convex_hull(v)))
-            assert np.array_equal(geom.min_area_rect(v).vertices, want.vertices)
+            assert np.array_equal(geom.min_area_rect(geom.Polygon(v)).vertices, want.vertices)
+
+    def test_takes_only_a_polygon(self):
+        params = inspect.signature(geom.min_area_rect).parameters
+        assert [(p.name, p.annotation) for p in params.values()] == [("poly", "Polygon")]
 
     def test_collinear_input_raises(self):
+        # Polygon(...) skips make's validation, which would reject the ring first
+        ring = np.array([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (2.0, 2.0)])
         with pytest.raises(geom.DegenerateInputError):
-            geom.min_area_rect(np.array([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (2.0, 2.0)]))
+            geom.min_area_rect(geom.Polygon(ring))
 
 
 class TestPolygonIoU:
+    def test_no_resolution_argument(self):
+        assert list(inspect.signature(geom.polygon_iou).parameters) == ["a", "b"]
+        assert geom.IOU_RESOLUTION == 256
+
     def test_identical_polygons(self):
         poly = geom.Polygon.make([(0, 0), (10, 0), (13, 6), (2, 9)])
-        assert geom.polygon_iou(poly, poly, 512) >= 0.99
+        assert iou_at(poly, poly, 512) >= 0.99
 
     def test_half_overlapping_unit_squares(self):
         a = geom.Polygon.make([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = geom.Polygon.make([(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)])
-        assert geom.polygon_iou(a, b, 512) == pytest.approx(1 / 3, abs=0.02)
+        assert iou_at(a, b, 512) == pytest.approx(1 / 3, abs=0.02)
 
     def test_disjoint_squares(self):
         a = geom.Polygon.make([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = geom.Polygon.make([(5, 5), (6, 5), (6, 6), (5, 6)])
-        assert geom.polygon_iou(a, b, 256) == 0.0
+        assert geom.polygon_iou(a, b) == 0.0
 
     def test_symmetry(self, rng):
         a = geom.Polygon.make(geom.convex_hull(rng.random((8, 2)) * 10))
         b = geom.Polygon.make(geom.convex_hull(rng.random((8, 2)) * 10 + 2))
-        assert geom.polygon_iou(a, b, 256) == geom.polygon_iou(b, a, 256)
+        assert geom.polygon_iou(a, b) == geom.polygon_iou(b, a)
 
     def test_resolution_stability(self, rng):
         for _ in range(5):
             a = geom.Polygon.make(geom.convex_hull(rng.random((10, 2)) * 10))
             b = geom.Polygon.make(geom.convex_hull(rng.random((10, 2)) * 10 + 1))
-            lo = geom.polygon_iou(a, b, 256)
-            hi = geom.polygon_iou(a, b, 512)
+            lo = geom.polygon_iou(a, b)
+            hi = iou_at(a, b, 512)
             assert abs(hi - lo) < 0.02
-
-    def test_resolution_floor(self):
-        poly = geom.Polygon.make([(0, 0), (1, 0), (1, 1)])
-        with pytest.raises(ValueError):
-            geom.polygon_iou(poly, poly, 32)
 
     def test_matches_scalar_oracle_on_concave_polygon(self):
         concave = geom.Polygon.make([(0, 0), (4, 0), (4, 4), (2, 4), (2, 2), (0, 2)])
         square = geom.Polygon.make([(1, 1), (5, 1), (5, 5), (1, 5)])
-        got = geom.polygon_iou(concave, square, 512)
+        got = iou_at(concave, square, 512)
         n = 512
         ma = rasterize_oracle(concave.vertices, 0, 0, 5, 5, n)
         mb = rasterize_oracle(square.vertices, 0, 0, 5, 5, n)
@@ -488,7 +510,7 @@ class TestPolygonIoU:
         nonzero = 0
         for a, b in pairs:
             want = mask_iou(a, b, r)
-            assert geom.polygon_iou(a, b, r) == want
+            assert iou_at(a, b, r) == want
             nonzero += want > 0
         assert nonzero > len(pairs) // 2
 
@@ -497,7 +519,7 @@ class TestPolygonIoU:
         b = geom.Polygon.make([(1, 1), (11, 0), (12, 7), (3, 9)])
         tracemalloc.start()
         try:
-            geom.polygon_iou(a, b, 8192)
+            iou_at(a, b, 8192)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -747,8 +769,8 @@ class TestKernelsMatchOracles:
             }[pair])
         except geom.DegenerateInputError:
             return
-        assert outcome(geom.polygon_iou, a, b, r) == outcome(two_pass_polygon_iou, a, b, r)
-        assert outcome(geom.polygon_iou, b, a, r) == outcome(two_pass_polygon_iou, b, a, r)
+        assert outcome(iou_at, a, b, r) == outcome(two_pass_polygon_iou, a, b, r)
+        assert outcome(iou_at, b, a, r) == outcome(two_pass_polygon_iou, b, a, r)
 
     def test_hull_of_200k_points_under_a_second(self):
         # the numpy-scalar chain took 1.0-1.5 s here; the float chain ~0.25 s

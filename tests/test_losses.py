@@ -1,3 +1,6 @@
+import inspect
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,8 @@ def finite_diff(f, x, h=1e-5):
 class TestDiceLoss:
     def test_perfect_prediction(self, rng):
         g = (rng.random((8, 8)) < 0.4).astype(float)
-        loss, grad = losses.dice_loss(g, g, eps=1e-9)
+        with patch.object(losses, "DICE_EPS", 1e-9):
+            loss, grad = losses.dice_loss(g, g)
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_half_overlap_value(self):
@@ -36,13 +40,14 @@ class TestDiceLoss:
         p = np.zeros((20, 20))
         g.ravel()[:100] = 1.0
         p.ravel()[50:150] = 1.0
-        loss, _ = losses.dice_loss(p, g, eps=1e-12)
+        with patch.object(losses, "DICE_EPS", 1e-12):
+            loss, _ = losses.dice_loss(p, g)
         assert loss == pytest.approx(0.5, abs=1e-6)
 
     def test_all_zero_prediction(self):
         g = np.zeros((10, 10))
         g.ravel()[:30] = 1.0
-        loss, _ = losses.dice_loss(np.zeros((10, 10)), g, eps=1.0)
+        loss, _ = losses.dice_loss(np.zeros((10, 10)), g)
         assert loss == pytest.approx(1.0 - 1.0 / 31.0, abs=1e-12)
 
     def test_range(self, rng):
@@ -55,8 +60,8 @@ class TestDiceLoss:
     def test_gradient_matches_finite_differences(self, rng):
         p = rng.random((5, 5))
         g = (rng.random((5, 5)) < 0.5).astype(float)
-        _, grad = losses.dice_loss(p, g, eps=1.0)
-        want = finite_diff(lambda x: losses.dice_loss(x, g, eps=1.0)[0], p)
+        _, grad = losses.dice_loss(p, g)
+        want = finite_diff(lambda x: losses.dice_loss(x, g)[0], p)
         assert np.abs(grad - want).max() <= 1e-4 * max(1.0, np.abs(want).max())
 
     def test_ignored_cells_zero_gradient(self, rng):
@@ -64,17 +69,26 @@ class TestDiceLoss:
         g = (rng.random((6, 6)) < 0.5).astype(float)
         ig = np.zeros((6, 6), dtype=np.uint8)
         ig[2:4, 2:4] = 1
-        loss, grad = losses.dice_loss(p, g, ignore_mask=ig, eps=1.0)
+        loss, grad = losses.dice_loss(p, g, ignore_mask=ig)
         assert np.all(grad[ig == 1] == 0.0)
         # Ignored cells do not influence the value either.
         p2 = p.copy()
         p2[ig == 1] = 0.123
-        loss2, _ = losses.dice_loss(p2, g, ignore_mask=ig, eps=1.0)
+        loss2, _ = losses.dice_loss(p2, g, ignore_mask=ig)
         assert loss2 == pytest.approx(loss, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             losses.dice_loss(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_ignore_mask_shape_mismatch(self):
+        with pytest.raises(ValueError, match="ignore_mask shape differs"):
+            losses.dice_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_no_eps_argument(self):
+        params = inspect.signature(losses.dice_loss).parameters
+        assert list(params) == ["pred_prob", "gt_mask", "ignore_mask"]
+        assert losses.DICE_EPS == 1.0
 
 
 class TestSmoothL1:
@@ -100,6 +114,13 @@ class TestSmoothL1:
         m = np.ones((6, 6))
         loss, *_ = losses.reg_loss(gx, gy, gx, gy, m)
         assert loss == 0.0
+
+    @pytest.mark.parametrize("bad", range(5))
+    def test_shape_mismatch(self, bad):
+        arrays = [np.zeros((3, 3)) for _ in range(5)]
+        arrays[bad] = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="share one shape"):
+            losses.reg_loss(*arrays)
 
     def test_empty_region(self):
         z = np.zeros((4, 4))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,21 @@ class TestShapePlan:
             netplan.assert_aligned(plan)
             for step in plan.fusion_steps:
                 assert len({shape for _, shape in step.inputs}) == 1
+
+    def test_misaligned_hand_built_plans_rejected(self):
+        plan = netplan.shape_plan(512, 512, 2)
+        first, *rest = plan.fusion_steps
+        (name, _), *others = first.inputs
+        mixed = replace(first, inputs=((name, (15, 16)), *others))
+        moved = replace(first, output_shape=(8, 8))
+        cases = [
+            (replace(plan, fusion_steps=(mixed, *rest)), "fusion at stride32 mixes shapes"),
+            (replace(plan, fusion_steps=(moved, *rest)), "fusion at stride32 outputs \\(8, 8\\)"),
+            (replace(plan, fusion_steps=(first,)), "final fused shape \\(16, 16\\) != channel-1 conv2"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(netplan.ShapePlanError, match=message):
+                netplan.assert_aligned(bad)
 
     def test_resampling_consistency(self):
         two = netplan.shape_plan(512, 512, 2)
