@@ -138,30 +138,32 @@ def extract_instances(pos: np.ndarray, width: int, min_cells: int = 1) -> list[n
     descending (that numbering breaks ties), and those smaller than min_cells
     are dropped.
     """
-    from scipy.sparse import coo_matrix   # loaded on first decode, not at import
+    from scipy.sparse import csr_matrix   # loaded on first decode, not at import
     from scipy.sparse.csgraph import connected_components
 
     if len(pos) == 0:
         return []
-    # A run starts at the first cell, after a gap and at column 0.
+    # A run starts at the first cell, after a gap and at each row's first cell.
     starts = np.empty(len(pos), dtype=bool)
     starts[0] = True
     np.not_equal(np.diff(pos), 1, out=starts[1:])
-    starts[1:] |= pos[1:] % width == 0
+    heads = np.arange(pos[0] // width + 1, pos[-1] // width + 1) * width   # of the later rows
+    starts[np.searchsorted(pos, heads)] = True   # the first cell at or after each head
     first = np.flatnonzero(starts)
     length = np.diff(first, append=len(pos))
     head = pos[first]
     tail = head + length - 1
     # The runs one row down that share a column with [head, tail] are those
-    # ending at or after head + width and starting at or before tail + width.
+    # ending at or after head + width and starting at or before tail + width:
+    # the links[i] runs from lo[i] on, row i of the CSR graph labelled weakly.
     lo = np.searchsorted(tail, head + width)
     links = np.searchsorted(head, tail + width, side="right") - lo
     n = len(head)
-    src = np.repeat(np.arange(n), links)
-    dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(links) - links), links)
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(links)))
+    dst = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], links)
+    graph = csr_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
     # labels go out in the order of each component's lowest run
-    count, run_label = connected_components(graph, directed=False)
+    count, run_label = connected_components(graph, directed=True, connection="weak")
 
     size = np.bincount(run_label, weights=length, minlength=count).astype(np.intp)
     big = size >= min_cells
@@ -179,19 +181,20 @@ def extract_instances(pos: np.ndarray, width: int, min_cells: int = 1) -> list[n
     return comps
 
 
-def _first_per_cell(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+def _first_per_cell(kx: np.ndarray, ky: np.ndarray, lo: tuple, hi: tuple) -> np.ndarray:
     """Ascending indices of the first point in each lattice cell.
 
-    ``kx``, ``ky`` are the points' int64 lattice indices. One key per cell,
-    ``(kx - min) * ny + (ky - min)``, is deduped through a table with an
-    entry per cell of the bounding lattice when that table holds at most
+    ``kx``, ``ky`` are the points' int64 lattice indices, ``lo`` = (x0, y0)
+    their minima and ``hi`` their maxima. One key per cell, ``(kx - x0) * ny
+    + (ky - y0)``, is deduped through a table with an entry per cell of the
+    bounding lattice when that table holds at most
     TABLE_CELLS_PER_POINT entries per point; otherwise (a small alpha makes
     the lattice unbounded) the index pairs are sorted, so the table stays
     within that bound and the key within int64.
     """
     n = len(kx)
-    x0, y0 = int(kx.min()), int(ky.min())
-    nx, ny = int(kx.max()) - x0 + 1, int(ky.max()) - y0 + 1
+    (x0, y0), (x1, y1) = lo, hi
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
     if nx * ny > TABLE_CELLS_PER_POINT * n:
         return np.sort(geom.unique_rows(np.stack([kx, ky], axis=1))[1])
     key = (kx - x0) * ny + (ky - y0)
@@ -236,7 +239,9 @@ def boundary_points(
     if not (-bound < x0 <= x1 < bound and -bound < y0 <= y1 < bound):   # NaN fails too
         raise InstanceRejected(f"a boundary point lies 2**62 or more {step:g} px steps from 0")
     kx, ky = np.round(x / step).astype(np.int64), np.round(y / step).astype(np.int64)
-    first = _first_per_cell(kx, ky)
+    # kx.min() and so on, as division by a positive step and rounding are monotone
+    lo, hi = (round(x0 / step), round(y0 / step)), (round(x1 / step), round(y1 / step))
+    first = _first_per_cell(kx, ky, lo, hi)
     pts = np.stack([x[first], y[first]], axis=1)
 
     if len(pts) < min_points:

@@ -189,26 +189,27 @@ def _delaunay_raw(
         tess = Delaunay(pts, qhull_options="QJ" if joggle else None)
     except QhullError as exc:
         raise DegenerateInputError(f"degenerate point set: {exc}") from exc
-    simplices, neighbors = tess.simplices.copy(), tess.neighbors.copy()
+    simplices, neighbors = tess.simplices, tess.neighbors   # tess's own: flipped in place
     tris = pts[simplices]
     signed = 0.5 * (
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
     )
-    flip = signed < 0   # reversing both rows keeps neighbor j opposite vertex j
-    simplices[flip] = simplices[flip][:, ::-1]
-    neighbors[flip] = neighbors[flip][:, ::-1]
+    flip = signed < 0   # reversing the rows keeps neighbor j opposite vertex j
+    for rows in (simplices, neighbors, tris):
+        rows[flip] = rows[flip][:, ::-1]
     areas = np.abs(signed)
     keep = areas > 1e-14
-    simplices = simplices[keep]
-    if len(simplices) == 0:
+    if not keep.any():
         raise DegenerateInputError("all candidate triangles are collinear")
-    return pts, simplices, _restrict(neighbors, keep), _circumradii(pts[simplices]), areas[keep]
+    return pts, simplices[keep], _restrict(neighbors, keep), _circumradii(tris[keep]), areas[keep]
 
 
 def _restrict(neighbors: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The neighbor table of the ``keep`` (boolean mask) triangles, numbered
-    in their order; a dropped neighbor becomes -1."""
+    in their order; a dropped neighbor becomes -1. Itself if none is dropped."""
+    if keep.all():
+        return neighbors
     index = np.full(len(neighbors) + 1, -1, dtype=np.int64)   # index[-1]: no neighbor
     index[:-1][keep] = np.arange(np.count_nonzero(keep))
     return index[neighbors[keep]]
@@ -216,14 +217,15 @@ def _restrict(neighbors: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Indices of the triangle component with the largest total area;
-    triangles are adjacent when the neighbor table links them."""
-    from scipy.sparse import coo_matrix
+    triangles are adjacent when the neighbor table, read as CSR rows, links them."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = len(neighbors)
-    t, j = np.nonzero(neighbors >= 0)
-    graph = coo_matrix((np.ones(len(t)), (t, neighbors[t, j])), shape=(n, n))
-    ncomp, comp = connected_components(graph, directed=False)
+    linked = neighbors >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(linked, axis=1))))
+    graph = csr_matrix((np.ones(indptr[-1]), neighbors[linked], indptr), shape=(n, n))
+    ncomp, comp = connected_components(graph, directed=True, connection="weak")
     totals = np.bincount(comp, weights=areas, minlength=ncomp)
     best = int(np.argmax(totals))
     return np.flatnonzero(comp == best)

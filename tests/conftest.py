@@ -389,6 +389,109 @@ def edge_key_largest_component(simplices, areas) -> np.ndarray:
     return np.flatnonzero(comp == int(np.argmax(totals)))
 
 
+def coo_largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Reference component step of the alpha ladder: the earlier
+    ``geom._largest_component``, kept verbatim, which hands scipy the neighbor
+    table in COO form, labelled as undirected. Indices of the triangle
+    component with the largest total area; triangles are adjacent when the
+    neighbor table links them."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(neighbors)
+    t, j = np.nonzero(neighbors >= 0)
+    graph = coo_matrix((np.ones(len(t)), (t, neighbors[t, j])), shape=(n, n))
+    ncomp, comp = connected_components(graph, directed=False)
+    totals = np.bincount(comp, weights=areas, minlength=ncomp)
+    best = int(np.argmax(totals))
+    return np.flatnonzero(comp == best)
+
+
+def coo_extract_instances(pos: np.ndarray, width: int, min_cells: int = 1) -> list[np.ndarray]:
+    """Reference run labelling of ``detect.extract_instances``: the earlier
+    function, kept verbatim, whose run graph goes to scipy in COO form and is
+    labelled as undirected. 4-connected components of the positive cells, as
+    intp flat indices.
+
+    ``pos`` holds the ascending flat indices (row * width + col) of the
+    positive cells of a grid ``width`` cells wide; the grid itself is never
+    read (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008). The
+    indices split into horizontal runs, each run is linked to the runs of the
+    next row that share a column with it, and the connected components of
+    that run graph are the instances. Runs are in raster order, so
+    components are numbered by their first cell in raster order. Each
+    component's cells are in raster order; the components are sorted by size
+    descending (that numbering breaks ties), and those smaller than min_cells
+    are dropped.
+    """
+    from scipy.sparse import coo_matrix   # loaded on first decode, not at import
+    from scipy.sparse.csgraph import connected_components
+
+    if len(pos) == 0:
+        return []
+    # A run starts at the first cell, after a gap and at column 0.
+    starts = np.empty(len(pos), dtype=bool)
+    starts[0] = True
+    np.not_equal(np.diff(pos), 1, out=starts[1:])
+    starts[1:] |= pos[1:] % width == 0
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=len(pos))
+    head = pos[first]
+    tail = head + length - 1
+    # The runs one row down that share a column with [head, tail] are those
+    # ending at or after head + width and starting at or before tail + width.
+    lo = np.searchsorted(tail, head + width)
+    links = np.searchsorted(head, tail + width, side="right") - lo
+    n = len(head)
+    src = np.repeat(np.arange(n), links)
+    dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(links) - links), links)
+    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    # labels go out in the order of each component's lowest run
+    count, run_label = connected_components(graph, directed=False)
+
+    size = np.bincount(run_label, weights=length, minlength=count).astype(np.intp)
+    big = size >= min_cells
+    if not big.any():
+        return []
+    cells = pos
+    if not big.all():
+        keep = big[run_label]
+        cells = cells[np.repeat(keep, length)]
+        run_label, length, size = run_label[keep], length[keep], size[big]
+    if len(size) > 1:   # group by component; the stable sort keeps raster order within one
+        cells = cells[np.argsort(np.repeat(run_label, length), kind="stable")]
+    comps = np.split(cells, np.cumsum(size[:-1]))
+    comps.sort(key=len, reverse=True)
+    return comps
+
+
+def minmax_thinning(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """Reference thinning of ``detect.boundary_points``: the earlier
+    ``detect._first_per_cell``, kept verbatim, which reduces the lattice
+    bounds from the indices themselves. Ascending indices of the first point
+    in each lattice cell.
+
+    ``kx``, ``ky`` are the points' int64 lattice indices. One key per cell,
+    ``(kx - min) * ny + (ky - min)``, is deduped through a table with an
+    entry per cell of the bounding lattice when that table holds at most
+    TABLE_CELLS_PER_POINT entries per point; otherwise (a small alpha makes
+    the lattice unbounded) the index pairs are sorted, so the table stays
+    within that bound and the key within int64.
+    """
+    from textshape import geom
+    from textshape.detect import TABLE_CELLS_PER_POINT
+
+    n = len(kx)
+    x0, y0 = int(kx.min()), int(ky.min())
+    nx, ny = int(kx.max()) - x0 + 1, int(ky.max()) - y0 + 1
+    if nx * ny > TABLE_CELLS_PER_POINT * n:
+        return np.sort(geom.unique_rows(np.stack([kx, ky], axis=1))[1])
+    key = (kx - x0) * ny + (ky - y0)
+    slot = np.full(nx * ny, n, dtype=np.int64)
+    np.minimum.at(slot, key, np.arange(n, dtype=np.int64))
+    return np.sort(slot[slot < n])
+
+
 def twin_search_boundary(simplices) -> list[tuple[int, int]]:
     """Reference boundary of a set of CCW triangles: their directed edges
     with no reversed twin among them, sorted."""

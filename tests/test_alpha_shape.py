@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 
 from textshape import geom
 from conftest import (
+    coo_largest_component,
     edge_key_largest_component,
     rasterize_oracle,
     shoelace,
@@ -154,6 +155,31 @@ class TestAdjacency:
                 tails, heads = geom._boundary_edges(kept[comp], adjacent[comp])
                 got = sorted(zip(tails.tolist(), heads.tolist()))
                 assert got == twin_search_boundary(kept[comp])
+
+    def test_restrict_keeping_every_triangle_returns_the_table(self):
+        neighbors = np.array([[1, -1, -1], [-1, 0, 2], [1, -1, -1]], dtype=np.int32)
+        assert geom._restrict(neighbors, np.ones(3, dtype=bool)) is neighbors
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "clustered"])
+    def test_largest_component_equals_coo_undirected_labelling(self, kind):
+        # equal areas make ties, which the component numbering breaks
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            pts, simplices, neighbors, radii, areas = geom._delaunay_raw(point_set(kind, rng), True)
+            for alpha in (0.01, 0.02, 0.04, 0.08, math.inf):
+                keep = radii <= alpha
+                if not keep.any():
+                    continue
+                adjacent = geom._restrict(neighbors, keep)
+                for weights in (areas[keep], np.ones(int(keep.sum()))):
+                    got = geom._largest_component(adjacent, weights)
+                    assert np.array_equal(got, coo_largest_component(adjacent, weights))
+
+    def test_delaunay_radii_are_those_of_the_oriented_triangles(self):
+        rng = np.random.default_rng(24)
+        for joggle in (False, True):
+            pts, simplices, _, radii, _ = geom._delaunay_raw(point_set("lattice", rng), joggle)
+            assert radii.tobytes() == geom._circumradii(pts[simplices]).tobytes()
 
 
 def walk_then_split(tails, heads) -> list[list[int]]:

@@ -7,15 +7,15 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import textshape as ts
 from textshape import detect, evaluate, formats, geom
 from textshape.labels import RasterGrid
-from textshape.synth import rect_annotation, roundtrip_suite, separated_pair
-from conftest import boundary_samples
+from textshape.synth import _placed, arc_annotation, rect_annotation, roundtrip_suite, separated_pair
+from conftest import boundary_samples, coo_extract_instances, minmax_thinning
 
 
 def flood_fill_components(mask):
@@ -200,6 +200,28 @@ class TestExtractInstances:
     )
     def test_matches_oracle_order_property(self, mask, min_cells):
         assert_matches_oracle_order(mask, min_cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=40)),
+        min_cells=st.integers(1, 12),
+    )
+    def test_equals_coo_undirected_labelling(self, mask, min_cells):
+        # the CSR run graph labelled weakly numbers components as the
+        # symmetrised COO graph did, so sizes, ties and cell orders agree
+        pos, width = np.flatnonzero(mask), mask.shape[1]
+        got = detect.extract_instances(pos, width, min_cells)
+        want = coo_extract_instances(pos, width, min_cells)
+        assert len(got) == len(want)
+        for comp, ref in zip(got, want):
+            assert comp.dtype == ref.dtype and np.array_equal(comp, ref)
+
+    def test_row_starts_at_column_zero_after_empty_rows(self):
+        # rows 0 and 3 end and start at a grid edge; rows 1-2 are empty
+        mask = np.zeros((5, 4), dtype=bool)
+        mask[0, 2:] = mask[3, :3] = mask[4, :] = True
+        got = assert_matches_oracle_order(mask)
+        assert [len(c) for c in got] == [7, 2]
 
     def test_page_of_speckles_costs_only_its_cells(self):
         rng = np.random.default_rng(7)
@@ -416,6 +438,77 @@ class TestThinning:
                     detect.boundary_points(comp, pred)
             dets = detect.decode(pred, detect.DecodeConfig(), diag)
         assert (len(dets), diag.components, diag.rejected, diag.points) == (0, 1, 1, 0)
+
+
+def minmax_first_per_cell(kx, ky, lo, hi):
+    """``detect._first_per_cell`` as it was, with the lattice bounds taken
+    from four reductions of ``kx`` and ``ky`` instead of ``lo`` and ``hi``."""
+    return minmax_thinning(kx, ky)
+
+
+def assert_decodes_as_minmax_thinning(pred, cfg):
+    """decode gives the polygons and scores, bit for bit, of decode with
+    the earlier thinning patched in."""
+    got = detect.decode(pred, cfg)
+    with patch.object(detect, "_first_per_cell", minmax_first_per_cell):
+        want = detect.decode(pred, cfg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.score == b.score
+        assert a.polygon.vertices.tobytes() == b.polygon.vertices.tobytes()
+
+
+class TestThinningBounds:
+    """The float bounds of boundary_points give the lattice bounds that the
+    earlier thinning reduced from the lattice indices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "arc"]),
+        height=st.floats(12.0, 48.0),
+        aspect=st.floats(1.0, 9.0),
+        angle=st.floats(0.0, 180.0),
+        sigma=st.floats(0.5, 4.0),
+        stride=st.sampled_from([1, 2]),
+        alpha=st.sampled_from([detect.DEFAULT_ALPHA, 0.004]),   # table and sorted lattices
+        seed=st.integers(0, 2**16),
+    )
+    def test_noisy_decode_equals_minmax_thinning_decode(
+        self, kind, height, aspect, angle, sigma, stride, alpha, seed
+    ):
+        if kind == "rect":
+            ann = rect_annotation(0, 0, aspect * height, height, angle_deg=angle)
+        else:
+            span = 30.0 + angle
+            radius = max(aspect * height / np.radians(span), height)
+            ann = arc_annotation(0, 0, radius, height, span, rotation_deg=angle)
+        inst = _placed("probe", ann)
+        pred = detect.add_distance_noise(perfect_pred(inst.annotation, inst.image_size, stride), sigma, seed)
+        assert_decodes_as_minmax_thinning(pred, detect.DecodeConfig(alpha=alpha))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        w=st.integers(8, 300),
+        h=st.integers(8, 120),
+        holes=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    # a filled ellipse that decodes differently once the lattice cells whose
+    # eight neighbours are all occupied drop their point: the first alpha
+    # rung then covers 0.643 of the points left, not all of them
+    @example(w=260, h=34, holes=0, seed=0)
+    def test_filled_blob_decode_equals_minmax_thinning_decode(self, w, h, holes, seed):
+        # zero distances: every point is its cell's centre, a filled cloud
+        rng = np.random.default_rng(seed)
+        rows, cols = np.mgrid[0:h + 8, 0:w + 8]
+        prob = ((rows - 4 - h / 2) / (h / 2)) ** 2 + ((cols - 4 - w / 2) / (w / 2)) ** 2 <= 1.0
+        for _ in range(holes):
+            r, c = rng.integers(4, h + 4), rng.integers(4, w + 4)
+            prob[r:r + rng.integers(2, 10), c:c + rng.integers(2, 20)] = False
+        grid = RasterGrid(width=w + 8, height=h + 8, stride=1)
+        zeros = np.zeros(grid.shape)
+        pred = detect.PredictionRaster(grid=grid, prob=prob.astype(np.float64), dist_x=zeros, dist_y=zeros)
+        assert_decodes_as_minmax_thinning(pred, detect.DecodeConfig())
 
 
 class TestReconstruct:
