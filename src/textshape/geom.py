@@ -166,15 +166,16 @@ def _collinear(pts: np.ndarray) -> bool:
 def _delaunay_raw(
     points, joggle: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicated points, CCW-oriented simplices, their neighbor table,
-    circumradii and areas.
+    """Deduplicated points and Qhull's whole triangle table: CCW-oriented
+    simplices, their neighbor table, circumradii and areas.
 
     ``neighbors[t, j]`` is Qhull's triangle across the edge opposite vertex
     j of triangle t, or -1 where there is none. ``joggle`` asks Qhull to
     perturb the input by an epsilon (QJ), which is deterministic and much
-    faster on grid-aligned point sets; the resulting near-degenerate slivers
-    are filtered out below. Degeneracy is checked explicitly beforehand
-    because joggling would mask it.
+    faster on grid-aligned point sets. Near-degenerate slivers (area
+    <= 1e-14) stay in the table with a NaN radius, which ``radii <= alpha``
+    rejects at every alpha, infinity included. Degeneracy is checked
+    explicitly beforehand because joggling would mask it.
     """
     from scipy.spatial import Delaunay, QhullError   # loaded on first decode, not at import
 
@@ -199,42 +200,37 @@ def _delaunay_raw(
     for rows in (simplices, neighbors, tris):
         rows[flip] = rows[flip][:, ::-1]
     areas = np.abs(signed)
-    keep = areas > 1e-14
-    if not keep.any():
+    slivers = areas <= 1e-14
+    if slivers.all():
         raise DegenerateInputError("all candidate triangles are collinear")
-    return pts, simplices[keep], _restrict(neighbors, keep), _circumradii(tris[keep]), areas[keep]
+    radii = np.where(slivers, np.nan, _circumradii(tris))
+    return pts, simplices, neighbors, radii, areas
 
 
-def _restrict(neighbors: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The neighbor table of the ``keep`` (boolean mask) triangles, numbered
-    in their order; a dropped neighbor becomes -1. Itself if none is dropped."""
-    if keep.all():
-        return neighbors
-    index = np.full(len(neighbors) + 1, -1, dtype=np.int64)   # index[-1]: no neighbor
-    index[:-1][keep] = np.arange(np.count_nonzero(keep))
-    return index[neighbors[keep]]
-
-
-def _largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Indices of the triangle component with the largest total area;
-    triangles are adjacent when the neighbor table, read as CSR rows, links them."""
+def _largest_component(neighbors: np.ndarray, keep: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Mask of the ``keep`` triangles' component with the largest total area,
+    the first of any tie. Two triangles are adjacent when the neighbor table,
+    read as CSR rows, links them and both are kept; a dropped triangle is a
+    component of its own, whose area is not counted."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = len(neighbors)
-    linked = neighbors >= 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(linked, axis=1))))
+    linked = (neighbors >= 0) & keep[neighbors] & keep[:, None]   # keep[-1]: masked off
+    indptr = np.concatenate(([0], np.cumsum(linked.ravel())[2::3]))   # links up to each row's end
     graph = csr_matrix((np.ones(indptr[-1]), neighbors[linked], indptr), shape=(n, n))
     ncomp, comp = connected_components(graph, directed=True, connection="weak")
-    totals = np.bincount(comp, weights=areas, minlength=ncomp)
-    best = int(np.argmax(totals))
-    return np.flatnonzero(comp == best)
+    totals = np.bincount(comp[keep], weights=areas[keep], minlength=ncomp)
+    return comp == np.argmax(totals)
 
 
-def _boundary_edges(simplices: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tails and heads of the directed edges with no triangle across. In a CCW
-    triangle the edge opposite vertex j runs from vertex j+1 to vertex j+2."""
-    t, j = np.nonzero(neighbors < 0)
+def _boundary_edges(
+    simplices: np.ndarray, neighbors: np.ndarray, comp: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tails and heads of the directed edges of the ``comp`` (boolean mask)
+    triangles with no ``comp`` triangle across. In a CCW triangle the edge
+    opposite vertex j runs from vertex j+1 to vertex j+2."""
+    t, j = np.divmod(np.flatnonzero(comp[:, None] & ((neighbors < 0) | ~comp[neighbors])), 3)
     return simplices[t, (j + 1) % 3], simplices[t, (j + 2) % 3]
 
 
@@ -293,24 +289,24 @@ def _shape_from_filter(
 ) -> Polygon:
     """Outer boundary of the alpha-filtered shape's largest component.
 
-    Coverage is the share of input points that are vertices of the
-    component's triangles; a well-formed shape covers nearly all of them
-    while a stray fragment covers only a few. A component covering less than
-    ``min_coverage`` raises AlphaShapeError before its boundary is walked. A
-    kept triangle's neighbors lie in its own component, so the component's
-    boundary edges are those with no neighbor left.
+    The filter and the component are masks over the one triangle table of
+    :func:`_delaunay_raw`. Coverage is the share of input points that are
+    vertices of the component's triangles; a well-formed shape covers nearly
+    all of them while a stray fragment covers only a few. A component
+    covering less than ``min_coverage`` raises AlphaShapeError before its
+    boundary is walked. The boundary edges are those with no component
+    triangle across.
     """
     keep = radii <= alpha
     if not keep.any():
         raise EmptyAlphaShapeError(f"no triangle has circumradius <= {alpha}")
-    kept, adjacent = simplices[keep], _restrict(neighbors, keep)
-    comp = _largest_component(adjacent, areas[keep])
-    kept, adjacent = kept[comp], adjacent[comp]
-    coverage = np.count_nonzero(np.bincount(kept.ravel(), minlength=len(pts))) / len(pts)
+    comp = _largest_component(neighbors, keep, areas)
+    corners = np.bincount(simplices.ravel(), weights=comp.repeat(3), minlength=len(pts))
+    coverage = np.count_nonzero(corners) / len(pts)
     if coverage < min_coverage:
         raise AlphaShapeError(f"component covers {coverage:.3f} of the points")
 
-    loops = _boundary_loops(*_boundary_edges(kept, adjacent))
+    loops = _boundary_loops(*_boundary_edges(simplices, neighbors, comp))
     # the largest loop, the first of any tie
     best = max(loops, key=lambda loop: abs(_shoelace(pts[loop])), default=None)
     if best is None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
+    EPS,
     Polygon,
     as_points,
     drop_repeats,
@@ -57,7 +58,7 @@ class AnnotationPolygon:
             raise MalformedAnnotationError("each chain needs at least 2 distinct vertices")
         ann = cls(up, low, ignore=ignore)
         ring = ann.closed_vertices()
-        if abs(shoelace_area(ring)) <= 1e-9:
+        if abs(shoelace_area(ring)) <= EPS:
             raise MalformedAnnotationError("annotation polygon has zero area")
         if not is_simple(ring):
             raise MalformedAnnotationError("annotation polygon is self-intersecting")
@@ -122,7 +123,7 @@ def central_region_polygon(ann: AnnotationPolygon) -> Polygon:
     iu, il = _zip_edges(ann)
     u = ann.upper[iu]
     v = ann.lower[il] - u
-    keep = np.hypot(v[:, 0], v[:, 1]) > 1e-9
+    keep = np.hypot(v[:, 0], v[:, 1]) > EPS
     u, v = u[keep], v[keep]
     ring = np.vstack([u + SHRINK * v, (u + (1.0 - SHRINK) * v)[::-1]])
     if len(ring) < 3:

@@ -407,6 +407,120 @@ def coo_largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarra
     return np.flatnonzero(comp == best)
 
 
+def restrict_neighbors(neighbors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The neighbor table of the ``keep`` (boolean mask) triangles, numbered
+    in their order; a dropped neighbor becomes -1. Itself if none is dropped.
+
+    The earlier ``geom._restrict``, kept verbatim as part of the restricted
+    ladder oracle below."""
+    if keep.all():
+        return neighbors
+    index = np.full(len(neighbors) + 1, -1, dtype=np.int64)   # index[-1]: no neighbor
+    index[:-1][keep] = np.arange(np.count_nonzero(keep))
+    return index[neighbors[keep]]
+
+
+def restricted_table(points, joggle: bool = False):
+    """Reference triangle table of the alpha ladder, one renumbered copy per
+    filter. The earlier ``geom._delaunay_raw`` dropped the slivers (area
+    <= 1e-14) from Qhull's table, kept verbatim here over the whole table
+    that ``geom._delaunay_raw`` now returns: the kept simplices, their
+    restricted neighbor table, circumradii and areas. (A table of slivers
+    only raises DegenerateInputError in ``geom._delaunay_raw`` already.)"""
+    from textshape import geom
+
+    pts, simplices, neighbors, _, areas = geom._delaunay_raw(points, joggle)
+    tris = pts[simplices]
+    keep = areas > 1e-14
+    return pts, simplices[keep], restrict_neighbors(neighbors, keep), geom._circumradii(tris[keep]), areas[keep]
+
+
+def csr_largest_component(neighbors: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Indices of the triangle component with the largest total area;
+    triangles are adjacent when the neighbor table, read as CSR rows, links them.
+
+    The earlier ``geom._largest_component``, kept verbatim: it labels a
+    restricted table, every row of which is a kept triangle."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(neighbors)
+    linked = neighbors >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(linked, axis=1))))
+    graph = csr_matrix((np.ones(indptr[-1]), neighbors[linked], indptr), shape=(n, n))
+    ncomp, comp = connected_components(graph, directed=True, connection="weak")
+    totals = np.bincount(comp, weights=areas, minlength=ncomp)
+    best = int(np.argmax(totals))
+    return np.flatnonzero(comp == best)
+
+
+def restricted_boundary_edges(simplices: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tails and heads of the directed edges with no triangle across. In a CCW
+    triangle the edge opposite vertex j runs from vertex j+1 to vertex j+2.
+
+    The earlier ``geom._boundary_edges``, kept verbatim."""
+    t, j = np.nonzero(neighbors < 0)
+    return simplices[t, (j + 1) % 3], simplices[t, (j + 2) % 3]
+
+
+def restricted_shape_from_filter(pts, simplices, neighbors, radii, areas, alpha, min_coverage):
+    """Outer boundary of the alpha-filtered shape's largest component, from
+    a :func:`restricted_table`: the earlier ``geom._shape_from_filter``, kept
+    verbatim, which renumbers the table once per filter and again per
+    component."""
+    from textshape.geom import (
+        AlphaShapeError, DegenerateInputError, EmptyAlphaShapeError, Polygon, _boundary_loops, _shoelace,
+    )
+
+    keep = radii <= alpha
+    if not keep.any():
+        raise EmptyAlphaShapeError(f"no triangle has circumradius <= {alpha}")
+    kept, adjacent = simplices[keep], restrict_neighbors(neighbors, keep)
+    comp = csr_largest_component(adjacent, areas[keep])
+    kept, adjacent = kept[comp], adjacent[comp]
+    coverage = np.count_nonzero(np.bincount(kept.ravel(), minlength=len(pts))) / len(pts)
+    if coverage < min_coverage:
+        raise AlphaShapeError(f"component covers {coverage:.3f} of the points")
+
+    loops = _boundary_loops(*restricted_boundary_edges(kept, adjacent))
+    # the largest loop, the first of any tie
+    best = max(loops, key=lambda loop: abs(_shoelace(pts[loop])), default=None)
+    if best is None:
+        raise AlphaShapeError("alpha shape has no usable outer boundary")
+    try:
+        return Polygon.make(pts[best])
+    except DegenerateInputError as exc:
+        # A degenerate (e.g. zero-area) loop at this alpha is recoverable by escalating.
+        raise AlphaShapeError(str(exc)) from exc
+
+
+def restricted_alpha_shape_with_fallback(points, alpha: float, must_contain):
+    """The alpha ladder over :func:`restricted_table` and
+    :func:`restricted_shape_from_filter`: the earlier
+    ``geom.alpha_shape_with_fallback``, kept verbatim."""
+    from textshape.geom import (
+        LADDER_DOUBLINGS, MIN_CONTAINMENT, MIN_COVERAGE, AlphaShapeError, Polygon, as_points,
+        convex_hull, point_in_polygon,
+    )
+
+    if not (alpha > 0):
+        raise ValueError("alpha must be positive")
+    inner = as_points(must_contain)
+    if len(inner) == 0:
+        raise ValueError("must_contain needs at least one point")
+    pts, simplices, neighbors, radii, areas = restricted_table(points, joggle=True)
+    a = alpha
+    for _ in range(LADDER_DOUBLINGS + 1):
+        try:
+            poly = restricted_shape_from_filter(pts, simplices, neighbors, radii, areas, a, MIN_COVERAGE)
+        except AlphaShapeError:
+            poly = None
+        if poly is not None and point_in_polygon(inner, poly.vertices).mean() >= MIN_CONTAINMENT:
+            return poly
+        a *= 2.0
+    return Polygon.make(convex_hull(pts))
+
+
 def coo_extract_instances(pos: np.ndarray, width: int, min_cells: int = 1) -> list[np.ndarray]:
     """Reference run labelling of ``detect.extract_instances``: the earlier
     function, kept verbatim, whose run graph goes to scipy in COO form and is

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from textshape import geom
@@ -9,6 +11,10 @@ from conftest import (
     coo_largest_component,
     edge_key_largest_component,
     rasterize_oracle,
+    restrict_neighbors,
+    restricted_alpha_shape_with_fallback,
+    restricted_shape_from_filter,
+    restricted_table,
     shoelace,
     split_pinches,
     strip_collinear,
@@ -124,11 +130,17 @@ class TestAlphaShape:
 
 
 class TestAdjacency:
-    def test_restrict_drops_a_middle_triangle_from_both_neighbors(self):
+    def test_dropping_a_middle_triangle_splits_the_strip(self):
         # a strip of four triangles, 0-1-2-3, each linked across one edge
         neighbors = np.array([[1, -1, -1], [-1, 0, 2], [1, -1, 3], [-1, 2, -1]], dtype=np.int32)
-        got = geom._restrict(neighbors, np.array([True, False, True, True]))
-        assert got.tolist() == [[-1, -1, -1], [-1, -1, 2], [-1, 1, -1]]
+        keep = np.array([True, False, True, True])
+        areas = np.array([1.0, 5.0, 1.0, 1.0])   # the dropped triangle's area is not counted
+        got = geom._largest_component(neighbors, keep, areas)
+        assert got.tolist() == [False, False, True, True]
+        # a tie goes to the first component; a lone kept triangle is one
+        assert geom._largest_component(neighbors, keep, np.array([2.0, 5.0, 1.0, 1.0])).tolist() == [
+            True, False, False, False,
+        ]
 
     @pytest.mark.parametrize("kind", ["random", "lattice"])
     @pytest.mark.parametrize("joggle", [False, True])
@@ -149,16 +161,12 @@ class TestAdjacency:
                 keep = radii <= alpha
                 if not keep.any():
                     continue
-                kept, adjacent = simplices[keep], geom._restrict(neighbors, keep)
-                comp = geom._largest_component(adjacent, areas[keep])
-                assert np.array_equal(comp, edge_key_largest_component(kept, areas[keep]))
-                tails, heads = geom._boundary_edges(kept[comp], adjacent[comp])
+                comp = geom._largest_component(neighbors, keep, areas)
+                want = np.flatnonzero(keep)[edge_key_largest_component(simplices[keep], areas[keep])]
+                assert np.array_equal(np.flatnonzero(comp), want)
+                tails, heads = geom._boundary_edges(simplices, neighbors, comp)
                 got = sorted(zip(tails.tolist(), heads.tolist()))
-                assert got == twin_search_boundary(kept[comp])
-
-    def test_restrict_keeping_every_triangle_returns_the_table(self):
-        neighbors = np.array([[1, -1, -1], [-1, 0, 2], [1, -1, -1]], dtype=np.int32)
-        assert geom._restrict(neighbors, np.ones(3, dtype=bool)) is neighbors
+                assert got == twin_search_boundary(simplices[comp])
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "clustered"])
     def test_largest_component_equals_coo_undirected_labelling(self, kind):
@@ -170,16 +178,23 @@ class TestAdjacency:
                 keep = radii <= alpha
                 if not keep.any():
                     continue
-                adjacent = geom._restrict(neighbors, keep)
-                for weights in (areas[keep], np.ones(int(keep.sum()))):
-                    got = geom._largest_component(adjacent, weights)
-                    assert np.array_equal(got, coo_largest_component(adjacent, weights))
+                adjacent = restrict_neighbors(neighbors, keep)
+                for weights in (areas, np.ones(len(keep))):
+                    got = geom._largest_component(neighbors, keep, weights)
+                    want = coo_largest_component(adjacent, weights[keep])
+                    assert np.array_equal(np.flatnonzero(got), np.flatnonzero(keep)[want])
 
     def test_delaunay_radii_are_those_of_the_oriented_triangles(self):
         rng = np.random.default_rng(24)
+        slivers = 0
         for joggle in (False, True):
-            pts, simplices, _, radii, _ = geom._delaunay_raw(point_set("lattice", rng), joggle)
-            assert radii.tobytes() == geom._circumradii(pts[simplices]).tobytes()
+            pts, simplices, _, radii, areas = geom._delaunay_raw(point_set("lattice", rng), joggle)
+            solid = areas > 1e-14
+            assert radii[solid].tobytes() == geom._circumradii(pts[simplices][solid]).tobytes()
+            # a sliver stays in the table, but no alpha keeps it
+            assert not (radii[~solid] <= math.inf).any()
+            slivers += np.count_nonzero(~solid)
+        assert slivers > 0   # the lattice sets exercise the sliver path
 
 
 def walk_then_split(tails, heads) -> list[list[int]]:
@@ -221,11 +236,10 @@ class TestPinchCutWalk:
             pts, simplices, neighbors, radii, areas = geom._delaunay_raw(point_set(kind, rng), joggle)
             for q in (0.25, 0.5, 0.75, 0.9):
                 keep = radii <= np.quantile(radii[np.isfinite(radii)], q)
-                kept, adjacent = simplices[keep], geom._restrict(neighbors, keep)
-                comp = geom._largest_component(adjacent, areas[keep])
+                comp = geom._largest_component(neighbors, keep, areas)
                 # every component at once, then the ladder's largest one
-                for tris, adj in ((kept, adjacent), (kept[comp], adjacent[comp])):
-                    tails, heads = geom._boundary_edges(tris, adj)
+                for mask in (keep, comp):
+                    tails, heads = geom._boundary_edges(simplices, neighbors, mask)
                     got = geom._boundary_loops(tails, heads)
                     assert got == walk_then_split(tails, heads)
                     assert all(len(set(loop)) == len(loop) >= 3 for loop in got)
@@ -318,3 +332,49 @@ class TestAlphaShapeFallback:
         poly = geom.alpha_shape_with_fallback(pts, 0.02, probes)
         assert calls == {"component": geom.LADDER_DOUBLINGS + 1, "walk": 0}
         assert vertex_sets_match(poly.vertices, geom.convex_hull(pts))
+
+
+def outcome(fn, *args):
+    """The vertex bytes of ``fn(*args)``'s polygon, or the type it raised."""
+    try:
+        return fn(*args).vertices.tobytes()
+    except (geom.AlphaShapeError, geom.DegenerateInputError) as exc:
+        return type(exc)
+
+
+class TestMaskedLadderMatchesRestrictedOracle:
+    """The ladder masks Qhull's one table; the oracle renumbers a copy of it
+    per filter and per component, as the ladder once did. Every polygon and
+    every error type must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["random", "lattice", "clustered"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 300),
+        st.booleans(),
+        st.one_of(st.floats(0.01, 2.0), st.just(math.inf)),
+    )
+    def test_shape_from_filter(self, kind, seed, n, joggle, alpha):
+        pts = point_set(kind, np.random.default_rng(seed))[:n]
+        for coverage in (geom.MIN_COVERAGE, 0.0):
+            got = outcome(lambda: geom._shape_from_filter(*geom._delaunay_raw(pts, joggle), alpha, coverage))
+            want = outcome(lambda: restricted_shape_from_filter(*restricted_table(pts, joggle), alpha, coverage))
+            assert got == want
+        if not joggle:   # alpha_shape: no joggle, no coverage floor
+            assert outcome(geom.alpha_shape, pts, alpha) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["random", "lattice", "clustered"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 300),
+        st.integers(1, 40),
+        st.one_of(st.floats(0.01, 2.0), st.just(math.inf)),
+    )
+    def test_alpha_shape_with_fallback(self, kind, seed, n, probes, alpha):
+        rng = np.random.default_rng(seed)
+        pts = point_set(kind, rng)[:n]
+        inner = 0.25 + 0.5 * rng.random((probes, 2))
+        got = outcome(geom.alpha_shape_with_fallback, pts, alpha, inner)
+        assert got == outcome(restricted_alpha_shape_with_fallback, pts, alpha, inner)
